@@ -115,32 +115,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_a_large_allocation() {
-        let baseline = reset_peak();
-        let v = vec![0u8; 1 << 20];
-        assert!(peak_bytes() >= baseline + (1 << 20));
-        drop(v);
-        assert!(current_bytes() < baseline + (1 << 20));
-    }
-
-    #[test]
-    fn peak_survives_deallocation() {
-        let baseline = reset_peak();
-        {
-            let _v = vec![0u64; 100_000];
-        }
-        assert!(peak_bytes() >= baseline + 800_000);
-    }
-
-    #[test]
-    fn realloc_tracks_growth() {
-        let baseline = reset_peak();
-        let mut v: Vec<u8> = Vec::with_capacity(16);
-        v.extend(std::iter::repeat_n(1u8, 1 << 18));
-        assert!(peak_bytes() >= baseline + (1 << 18));
-    }
-
-    #[test]
     fn counts_allocation_events_per_thread() {
         let before = thread_alloc_count();
         let global_before = alloc_count();

@@ -190,6 +190,7 @@ pub mod bounds;
 pub mod engine;
 pub mod metrics;
 pub mod model;
+pub mod numfmt;
 pub mod offline;
 pub mod online;
 pub mod service;

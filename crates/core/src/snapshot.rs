@@ -68,6 +68,7 @@ use crate::model::{
     AccuracyModel, AccuracyTable, Assignment, Eligibility, ProblemParams, QualityModel, Task,
     TaskId, WorkerId,
 };
+use crate::numfmt::{self, Case};
 use crate::service::{Algorithm, LtcService, ServiceError, ServiceSnapshot, StripeLayout};
 use ltc_spatial::{BoundingBox, Point};
 use std::fmt;
@@ -125,136 +126,155 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-fn bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// Appends ` <16 hex digits>`: one space-led `f64` token.
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.push(b' ');
+    numfmt::push_hex_f64(out, v);
+}
+
+/// Appends ` <decimal>`: one space-led integer token.
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.push(b' ');
+    numfmt::push_u64(out, v);
 }
 
 /// Serializes a [`ServiceSnapshot`] into the v1 text format.
 pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Result<()> {
-    writeln!(out, "{SNAPSHOT_HEADER}")?;
+    let mut text = Vec::new();
+    encode_snapshot(snap, &mut text);
+    out.write_all(&text)
+}
+
+/// Appends the v1 text of a [`ServiceSnapshot`] to `out` — the bytes
+/// [`write_snapshot`] writes. Every token goes straight into the one
+/// buffer, so a caller that reserves it (a checkpoint writer sized by
+/// its previous checkpoint) encodes without reallocating.
+pub fn encode_snapshot(snap: &ServiceSnapshot, out: &mut Vec<u8>) {
+    out.extend_from_slice(SNAPSHOT_HEADER.as_bytes());
+    out.extend_from_slice(b"\nparams");
     let p = &snap.params;
-    write!(
-        out,
-        "params {} {} {} {} {}",
-        bits(p.epsilon),
-        p.capacity,
-        bits(p.d_max),
-        bits(p.min_accuracy),
-        match p.eligibility {
-            Eligibility::WithinRange => "within",
-            Eligibility::Unrestricted => "unrestricted",
-        }
-    )?;
+    put_f64(out, p.epsilon);
+    put_u64(out, p.capacity.into());
+    put_f64(out, p.d_max);
+    put_f64(out, p.min_accuracy);
+    out.extend_from_slice(match p.eligibility {
+        Eligibility::WithinRange => b" within",
+        Eligibility::Unrestricted => b" unrestricted",
+    });
     match p.quality {
-        QualityModel::Hoeffding => writeln!(out, " hoeffding")?,
-        QualityModel::FixedThreshold(th) => writeln!(out, " fixed {}", bits(th))?,
+        QualityModel::Hoeffding => out.extend_from_slice(b" hoeffding"),
+        QualityModel::FixedThreshold(th) => {
+            out.extend_from_slice(b" fixed");
+            put_f64(out, th);
+        }
     }
-    writeln!(
-        out,
-        "region {} {} {} {}",
-        bits(snap.region.min.x),
-        bits(snap.region.min.y),
-        bits(snap.region.max.x),
-        bits(snap.region.max.y)
-    )?;
-    let algo = match snap.algorithm {
-        Algorithm::Laf => "laf".to_string(),
-        Algorithm::Aam => "aam".to_string(),
-        Algorithm::AamLgf => "aam-lgf".to_string(),
-        Algorithm::AamLrf => "aam-lrf".to_string(),
-        Algorithm::Random { seed } => format!("random {seed}"),
-    };
-    write!(
-        out,
-        "config {algo} {} {} {}",
-        bits(snap.cell_size),
-        snap.batch_capacity,
-        snap.next_arrival
-    )?;
+    out.extend_from_slice(b"\nregion");
+    for v in [
+        snap.region.min.x,
+        snap.region.min.y,
+        snap.region.max.x,
+        snap.region.max.y,
+    ] {
+        put_f64(out, v);
+    }
+    out.extend_from_slice(b"\nconfig ");
+    match snap.algorithm {
+        Algorithm::Laf => out.extend_from_slice(b"laf"),
+        Algorithm::Aam => out.extend_from_slice(b"aam"),
+        Algorithm::AamLgf => out.extend_from_slice(b"aam-lgf"),
+        Algorithm::AamLrf => out.extend_from_slice(b"aam-lrf"),
+        Algorithm::Random { seed } => {
+            out.extend_from_slice(b"random");
+            put_u64(out, seed);
+        }
+    }
+    put_f64(out, snap.cell_size);
+    put_u64(out, snap.batch_capacity as u64);
+    put_u64(out, snap.next_arrival);
     if let Some(clamps) = snap.grow_clamps {
-        write!(out, " grow {clamps}")?;
+        out.extend_from_slice(b" grow");
+        put_u64(out, clamps);
     }
     if let Some(factor) = snap.rebalance_factor {
-        write!(out, " rebalance {}", bits(factor))?;
+        out.extend_from_slice(b" rebalance");
+        put_f64(out, factor);
     }
     if let Some(stripes) = &snap.stripes {
-        write!(
-            out,
-            " stripes {} {} {} {}",
-            stripes.starts.len(),
-            bits(stripes.cell_size),
-            bits(stripes.origin_x),
-            stripes.cols
-        )?;
+        out.extend_from_slice(b" stripes");
+        put_u64(out, stripes.starts.len() as u64);
+        put_f64(out, stripes.cell_size);
+        put_f64(out, stripes.origin_x);
+        put_u64(out, stripes.cols as u64);
         for &s in &stripes.starts {
-            write!(out, " {s}")?;
+            put_u64(out, s as u64);
         }
     }
-    writeln!(out)?;
-    write!(out, "taskmap {}", snap.task_map.len())?;
+    out.extend_from_slice(b"\ntaskmap");
+    put_u64(out, snap.task_map.len() as u64);
     for &(shard, _) in &snap.task_map {
-        write!(out, " {shard}")?;
+        put_u64(out, shard.into());
     }
-    writeln!(out)?;
+    out.push(b'\n');
     for (i, e) in snap.engines.iter().enumerate() {
-        write!(out, "shard {i} {} {} ", e.tasks.len(), e.next_arrival)?;
+        out.extend_from_slice(b"shard");
+        put_u64(out, i as u64);
+        put_u64(out, e.tasks.len() as u64);
+        put_u64(out, e.next_arrival);
+        out.push(b' ');
         if let Some(draws) = snap.rng_draws.get(i).copied().flatten() {
-            write!(out, "rng {draws} ")?;
+            out.extend_from_slice(b"rng");
+            put_u64(out, draws);
+            out.push(b' ');
         }
         if e.clamped_insertions > 0 {
-            write!(out, "clamped {} {} ", e.clamped_insertions, e.clamp_mark)?;
+            out.extend_from_slice(b"clamped");
+            put_u64(out, e.clamped_insertions);
+            put_u64(out, e.clamp_mark);
+            out.push(b' ');
         }
         match e.index_geometry {
-            None => writeln!(out, "noindex")?,
-            Some((cs, b)) => writeln!(
-                out,
-                "index {} {} {} {} {}",
-                bits(cs),
-                bits(b.min.x),
-                bits(b.min.y),
-                bits(b.max.x),
-                bits(b.max.y)
-            )?,
-        }
-        write!(out, "tasks")?;
-        for t in &e.tasks {
-            write!(out, " {} {}", bits(t.loc.x), bits(t.loc.y))?;
-        }
-        writeln!(out)?;
-        write!(out, "quality")?;
-        for &s in &e.s {
-            write!(out, " {}", bits(s))?;
-        }
-        writeln!(out)?;
-        write!(out, "completed ")?;
-        for &c in &e.completed {
-            write!(out, "{}", if c { '1' } else { '0' })?;
-        }
-        writeln!(out)?;
-        match &e.accuracy {
-            AccuracyModel::Sigmoid => writeln!(out, "accuracy sigmoid")?,
-            AccuracyModel::Table(table) => {
-                write!(out, "accuracy table {}", table.n_workers())?;
-                for &v in table.task_major_values() {
-                    write!(out, " {}", bits(v))?;
+            None => out.extend_from_slice(b"noindex"),
+            Some((cs, b)) => {
+                out.extend_from_slice(b"index");
+                for v in [cs, b.min.x, b.min.y, b.max.x, b.max.y] {
+                    put_f64(out, v);
                 }
-                writeln!(out)?;
             }
         }
-        writeln!(out, "assignments {}", e.assignments.len())?;
+        out.extend_from_slice(b"\ntasks");
+        for t in &e.tasks {
+            put_f64(out, t.loc.x);
+            put_f64(out, t.loc.y);
+        }
+        out.extend_from_slice(b"\nquality");
+        for &s in &e.s {
+            put_f64(out, s);
+        }
+        out.extend_from_slice(b"\ncompleted ");
+        out.extend(e.completed.iter().map(|&c| if c { b'1' } else { b'0' }));
+        match &e.accuracy {
+            AccuracyModel::Sigmoid => out.extend_from_slice(b"\naccuracy sigmoid"),
+            AccuracyModel::Table(table) => {
+                out.extend_from_slice(b"\naccuracy table");
+                put_u64(out, table.n_workers() as u64);
+                for &v in table.task_major_values() {
+                    put_f64(out, v);
+                }
+            }
+        }
+        out.extend_from_slice(b"\nassignments");
+        put_u64(out, e.assignments.len() as u64);
+        out.push(b'\n');
         for a in &e.assignments {
-            writeln!(
-                out,
-                "a {} {} {} {}",
-                a.worker.0,
-                a.task.0,
-                bits(a.acc),
-                bits(a.contribution)
-            )?;
+            out.push(b'a');
+            put_u64(out, a.worker.0);
+            put_u64(out, a.task.0.into());
+            put_f64(out, a.acc);
+            put_f64(out, a.contribution);
+            out.push(b'\n');
         }
     }
-    writeln!(out, "end")?;
-    Ok(())
+    out.extend_from_slice(b"end\n");
 }
 
 /// Serializes a service's current state (shorthand for
@@ -266,17 +286,16 @@ pub fn save_service<W: Write>(service: &LtcService, out: W) -> io::Result<()> {
 /// Reads a v1 snapshot back into a [`ServiceSnapshot`].
 pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotError> {
     let mut lines = Lines::new(reader);
-    let header = lines.next_line()?;
-    if header.trim() != SNAPSHOT_HEADER {
-        return Err(lines.err(format!(
-            "unsupported snapshot header `{}` (expected `{SNAPSHOT_HEADER}`)",
-            header.trim()
+    let tk = lines.next_line()?;
+    let header = tk.line.trim();
+    if header != SNAPSHOT_HEADER {
+        return Err(tk.bad(format!(
+            "unsupported snapshot header `{header}` (expected `{SNAPSHOT_HEADER}`)"
         )));
     }
 
     // params
-    let line = lines.next_line()?;
-    let mut tk = Tokens::new(&line, lines.lineno);
+    let mut tk = lines.next_line()?;
     tk.literal("params")?;
     let epsilon = tk.f64()?;
     let capacity = tk.u64()? as u32;
@@ -302,8 +321,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
     };
 
     // region
-    let line = lines.next_line()?;
-    let mut tk = Tokens::new(&line, lines.lineno);
+    let mut tk = lines.next_line()?;
     tk.literal("region")?;
     let region = BoundingBox::new(
         Point::new(tk.f64()?, tk.f64()?),
@@ -311,8 +329,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
     );
 
     // config
-    let line = lines.next_line()?;
-    let mut tk = Tokens::new(&line, lines.lineno);
+    let mut tk = lines.next_line()?;
     tk.literal("config")?;
     let algorithm = match tk.word()? {
         "laf" => Algorithm::Laf,
@@ -362,8 +379,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
     // capped up front (growth past the cap is driven by actually-parsed
     // tokens, so a lying header errors on the missing token instead of
     // allocating).
-    let line = lines.next_line()?;
-    let mut tk = Tokens::new(&line, lines.lineno);
+    let mut tk = lines.next_line()?;
     tk.literal("taskmap")?;
     let n_tasks = tk.u64()? as usize;
     if n_tasks > u32::MAX as usize {
@@ -387,8 +403,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
     let mut engines: Vec<EngineState> = Vec::new();
     let mut rng_draws: Vec<Option<u64>> = Vec::new();
     loop {
-        let line = lines.next_line()?;
-        let mut tk = Tokens::new(&line, lines.lineno);
+        let mut tk = lines.next_line()?;
         match tk.word()? {
             "end" => break,
             "shard" => {}
@@ -436,24 +451,21 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             other => return Err(tk.bad(format!("expected index geometry, got `{other}`"))),
         };
 
-        let line = lines.next_line()?;
-        let mut tk = Tokens::new(&line, lines.lineno);
+        let mut tk = lines.next_line()?;
         tk.literal("tasks")?;
         let mut tasks = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
             tasks.push(Task::new(Point::new(tk.f64()?, tk.f64()?)));
         }
 
-        let line = lines.next_line()?;
-        let mut tk = Tokens::new(&line, lines.lineno);
+        let mut tk = lines.next_line()?;
         tk.literal("quality")?;
         let mut s = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
             s.push(tk.f64()?);
         }
 
-        let line = lines.next_line()?;
-        let mut tk = Tokens::new(&line, lines.lineno);
+        let mut tk = lines.next_line()?;
         tk.literal("completed")?;
         let flags = tk.word().unwrap_or("");
         if flags.len() != n {
@@ -464,8 +476,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         }
         let completed: Vec<bool> = flags.chars().map(|c| c == '1').collect();
 
-        let line = lines.next_line()?;
-        let mut tk = Tokens::new(&line, lines.lineno);
+        let mut tk = lines.next_line()?;
         tk.literal("accuracy")?;
         let accuracy = match tk.word()? {
             "sigmoid" => AccuracyModel::Sigmoid,
@@ -491,14 +502,12 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             other => return Err(tk.bad(format!("unknown accuracy model `{other}`"))),
         };
 
-        let line = lines.next_line()?;
-        let mut tk = Tokens::new(&line, lines.lineno);
+        let mut tk = lines.next_line()?;
         tk.literal("assignments")?;
         let n_assign = tk.u64()? as usize;
         let mut assignments = Vec::with_capacity(n_assign.min(1 << 20));
         for _ in 0..n_assign {
-            let line = lines.next_line()?;
-            let mut tk = Tokens::new(&line, lines.lineno);
+            let mut tk = lines.next_line()?;
             tk.literal("a")?;
             assignments.push(Assignment {
                 worker: WorkerId(tk.u64()?),
@@ -550,23 +559,31 @@ pub fn load_service<R: BufRead>(reader: R) -> Result<LtcService, SnapshotError> 
     LtcService::restore(read_snapshot(reader)?).map_err(SnapshotError::Service)
 }
 
-/// Line cursor with 1-based numbering for error reporting.
+/// Line cursor with 1-based numbering for error reporting. One line
+/// buffer serves the whole snapshot: each read reuses its allocation.
 struct Lines<R> {
     reader: R,
+    line: String,
     lineno: usize,
 }
 
 impl<R: BufRead> Lines<R> {
     fn new(reader: R) -> Self {
-        Self { reader, lineno: 0 }
+        Self {
+            reader,
+            line: String::new(),
+            lineno: 0,
+        }
     }
 
-    fn next_line(&mut self) -> Result<String, SnapshotError> {
+    /// The next non-blank line, ready to tokenize.
+    fn next_line(&mut self) -> Result<Tokens<'_>, SnapshotError> {
         loop {
             // A snapshot line legitimately holds a whole task or quality
             // array, so the cap is generous — but a truncated or hostile
             // file must not buffer without bound.
-            let mut buf = Vec::new();
+            let mut buf = std::mem::take(&mut self.line).into_bytes();
+            buf.clear();
             let n = (&mut self.reader)
                 .take(MAX_SNAPSHOT_LINE as u64)
                 .read_until(b'\n', &mut buf)?;
@@ -583,54 +600,89 @@ impl<R: BufRead> Lines<R> {
                 });
             }
             self.lineno += 1;
-            let line = String::from_utf8(buf).map_err(|_| SnapshotError::Parse {
+            self.line = String::from_utf8(buf).map_err(|_| SnapshotError::Parse {
                 line: self.lineno,
                 what: "line is not valid UTF-8".into(),
             })?;
-            if !line.trim().is_empty() {
-                return Ok(line);
+            if !self.line.trim().is_empty() {
+                return Ok(Tokens {
+                    line: &self.line,
+                    pos: 0,
+                    lineno: self.lineno,
+                });
             }
         }
     }
+}
 
-    fn err(&self, what: String) -> SnapshotError {
+/// Whether `b` is an ASCII byte [`char::is_whitespace`] accepts (note
+/// the vertical tab, which [`u8::is_ascii_whitespace`] leaves out).
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// Whitespace tokenizer over one line, splitting exactly where
+/// [`str::split_whitespace`] would. Integer and float tokens take byte
+/// fast paths for the shapes the writer emits; anything else goes
+/// through the standard parsers, so acceptance and error text are
+/// theirs.
+struct Tokens<'a> {
+    line: &'a str,
+    pos: usize,
+    lineno: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn bad(&self, what: String) -> SnapshotError {
         SnapshotError::Parse {
             line: self.lineno,
             what,
         }
     }
-}
 
-/// Whitespace tokenizer over one line.
-struct Tokens<'a> {
-    iter: std::str::SplitWhitespace<'a>,
-    line: usize,
-}
+    /// The char starting at byte `pos`: whether it is whitespace, and
+    /// its length. `None` at end of line.
+    fn char_at(&self, pos: usize) -> Option<(bool, usize)> {
+        let b = *self.line.as_bytes().get(pos)?;
+        if b.is_ascii() {
+            return Some((is_ascii_space(b), 1));
+        }
+        let c = self.line[pos..].chars().next()?;
+        Some((c.is_whitespace(), c.len_utf8()))
+    }
 
-impl<'a> Tokens<'a> {
-    fn new(line: &'a str, lineno: usize) -> Self {
-        Self {
-            iter: line.split_whitespace(),
-            line: lineno,
+    /// Advances past whitespace; the cursor always rests on a char
+    /// boundary.
+    fn skip_space(&mut self) {
+        while let Some((true, len)) = self.char_at(self.pos) {
+            self.pos += len;
         }
     }
 
-    fn bad(&self, what: String) -> SnapshotError {
-        SnapshotError::Parse {
-            line: self.line,
-            what,
-        }
-    }
-
-    fn word(&mut self) -> Result<&'a str, SnapshotError> {
-        self.iter
-            .next()
-            .ok_or_else(|| self.bad("missing token".into()))
+    /// Whether a token that ends at byte `end` really ends there (end of
+    /// line or ASCII whitespace next; any other byte sends the token to
+    /// the slow path, which decides exactly).
+    fn ends_at(&self, end: usize) -> bool {
+        self.line
+            .as_bytes()
+            .get(end)
+            .is_none_or(|&b| is_ascii_space(b))
     }
 
     /// The next token, or `None` at end of line (for optional groups).
     fn maybe_word(&mut self) -> Option<&'a str> {
-        self.iter.next()
+        self.skip_space();
+        let start = self.pos;
+        while let Some((false, len)) = self.char_at(self.pos) {
+            self.pos += len;
+        }
+        let line = self.line;
+        (self.pos > start).then(|| &line[start..self.pos])
+    }
+
+    fn word(&mut self) -> Result<&'a str, SnapshotError> {
+        self.maybe_word()
+            .ok_or_else(|| self.bad("missing token".into()))
     }
 
     fn literal(&mut self, expect: &str) -> Result<(), SnapshotError> {
@@ -643,12 +695,40 @@ impl<'a> Tokens<'a> {
     }
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
+        self.skip_space();
+        // Fast path: up to 19 plain digits (which cannot overflow).
+        let digits = &self.line.as_bytes()[self.pos..];
+        let len = digits
+            .iter()
+            .take(20)
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        if (1..20).contains(&len) && self.ends_at(self.pos + len) {
+            self.pos += len;
+            return Ok(digits[..len]
+                .iter()
+                .fold(0, |v, &d| v * 10 + u64::from(d - b'0')));
+        }
         let w = self.word()?;
         w.parse()
             .map_err(|e| self.bad(format!("bad integer `{w}`: {e}")))
     }
 
     fn f64(&mut self) -> Result<f64, SnapshotError> {
+        self.skip_space();
+        // Fast path: exactly the 16 lowercase digits the writer emits.
+        let end = self.pos + 16;
+        if let Some(bits) = self
+            .line
+            .as_bytes()
+            .get(self.pos..end)
+            .and_then(|digits| numfmt::parse_hex16(digits, Case::Lower))
+        {
+            if self.ends_at(end) {
+                self.pos = end;
+                return Ok(f64::from_bits(bits));
+            }
+        }
         let w = self.word()?;
         u64::from_str_radix(w, 16)
             .map(f64::from_bits)
@@ -957,6 +1037,357 @@ mod tests {
                 "accepted malformed shard line `{shard}`"
             );
         }
+    }
+
+    /// SplitMix64: a tiny deterministic generator for building
+    /// arbitrary snapshots from one proptest-drawn seed.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Any bit pattern at all: NaNs, infinities, subnormals, -0.
+        fn any_f64(&mut self) -> f64 {
+            f64::from_bits(self.next())
+        }
+
+        fn unit_f64(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn maybe(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+
+        /// A box over arbitrary corners, normalized the way the reader
+        /// builds every box (so the text is a fixed point).
+        fn any_box(&mut self) -> BoundingBox {
+            BoundingBox::new(
+                Point::new(self.any_f64(), self.any_f64()),
+                Point::new(self.any_f64(), self.any_f64()),
+            )
+        }
+    }
+
+    /// A structurally valid snapshot (one the reader accepts) with
+    /// arbitrary field values and every optional group drawn at random.
+    fn random_snapshot(seed: u64) -> ServiceSnapshot {
+        let mut r = Mix(seed);
+        let params = ProblemParams {
+            epsilon: r.any_f64(),
+            capacity: r.next() as u32,
+            d_max: r.any_f64(),
+            min_accuracy: r.any_f64(),
+            eligibility: if r.maybe() {
+                Eligibility::WithinRange
+            } else {
+                Eligibility::Unrestricted
+            },
+            quality: if r.maybe() {
+                QualityModel::Hoeffding
+            } else {
+                QualityModel::FixedThreshold(r.any_f64())
+            },
+        };
+        let algorithm = match r.below(5) {
+            0 => Algorithm::Laf,
+            1 => Algorithm::Aam,
+            2 => Algorithm::AamLgf,
+            3 => Algorithm::AamLrf,
+            _ => Algorithm::Random { seed: r.next() },
+        };
+        let n_shards = 1 + r.below(4) as usize;
+        let engines: Vec<EngineState> = (0..n_shards)
+            .map(|_| {
+                let n = r.below(6) as usize;
+                let accuracy = if r.maybe() {
+                    AccuracyModel::Sigmoid
+                } else {
+                    let n_workers = 1 + r.below(3) as usize;
+                    let values = (0..n_workers * n).map(|_| r.unit_f64()).collect();
+                    AccuracyModel::Table(AccuracyTable::from_task_major(n_workers, values))
+                };
+                let clamped_insertions = if r.maybe() { 0 } else { r.next() };
+                EngineState {
+                    params,
+                    accuracy,
+                    tasks: (0..n)
+                        .map(|_| Task::new(Point::new(r.any_f64(), r.any_f64())))
+                        .collect(),
+                    s: (0..n).map(|_| r.any_f64()).collect(),
+                    completed: (0..n).map(|_| r.maybe()).collect(),
+                    assignments: (0..r.below(5))
+                        .map(|_| Assignment {
+                            worker: WorkerId(r.next()),
+                            task: TaskId(r.next() as u32),
+                            acc: r.any_f64(),
+                            contribution: r.any_f64(),
+                        })
+                        .collect(),
+                    next_arrival: r.next(),
+                    index_geometry: r.maybe().then(|| (r.any_f64(), r.any_box())),
+                    clamped_insertions,
+                    clamp_mark: r.next().min(clamped_insertions),
+                }
+            })
+            .collect();
+        let mut per_shard = vec![0u32; n_shards];
+        let mut task_map = Vec::new();
+        for (s, e) in engines.iter().enumerate() {
+            for _ in 0..e.tasks.len() {
+                task_map.push((s as u32, per_shard[s]));
+                per_shard[s] += 1;
+            }
+        }
+        ServiceSnapshot {
+            params,
+            region: r.any_box(),
+            algorithm,
+            cell_size: r.any_f64(),
+            batch_capacity: r.next() as usize,
+            grow_clamps: r.maybe().then(|| r.next()),
+            rebalance_factor: r.maybe().then(|| r.any_f64()),
+            stripes: r.maybe().then(|| StripeLayout {
+                cell_size: r.any_f64(),
+                origin_x: r.any_f64(),
+                cols: r.next() as usize,
+                starts: (0..r.below(5)).map(|_| r.next() as usize).collect(),
+            }),
+            next_arrival: r.next(),
+            task_map,
+            rng_draws: (0..n_shards).map(|_| r.maybe().then(|| r.next())).collect(),
+            engines,
+        }
+    }
+
+    fn text_of(snap: &ServiceSnapshot) -> String {
+        let mut out = Vec::new();
+        write_snapshot(snap, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn write_read_write_is_a_fixed_point(seed in proptest::prelude::any::<u64>()) {
+            let text = text_of(&random_snapshot(seed));
+            let decoded = read_snapshot(text.as_bytes()).unwrap();
+            proptest::prop_assert_eq!(text_of(&decoded), text);
+        }
+    }
+
+    /// The `Display` of the error `read_snapshot` raises on `text`.
+    fn read_error(text: &[u8]) -> String {
+        match read_snapshot(text) {
+            Ok(_) => panic!("accepted {:?}", String::from_utf8_lossy(text)),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    const PRELUDE: &str = "ltc-snapshot v1\n\
+        params 3fc999999999999a 2 403e000000000000 3fe51eb851eb851f within hoeffding\n\
+        region 0000000000000000 0000000000000000 4059000000000000 4059000000000000\n\
+        config laf 403e000000000000 64 0\n";
+
+    const ONE_SHARD: &str = "taskmap 1 0\n\
+        shard 0 1 0 noindex\n\
+        tasks 4024000000000000 4034000000000000\n\
+        quality 3fe0000000000000\n\
+        completed 0\n\
+        accuracy sigmoid\n\
+        assignments 1\n\
+        a 7 0 3fe8000000000000 3fd0000000000000\n\
+        end\n";
+
+    #[test]
+    fn truncated_inputs_fail_at_the_line_they_ran_out_on() {
+        let text = format!("{PRELUDE}{ONE_SHARD}");
+        let expected = [
+            (0, "line 1: unexpected end of snapshot"),
+            (16, "line 2: unexpected end of snapshot"),
+            (20, "line 2: expected `params`, got `para`"),
+            (30, "line 2: missing token"),
+            (93, "line 3: unexpected end of snapshot"),
+            (120, "line 3: missing token"),
+            (180, "line 4: missing token"),
+            (200, "line 5: unexpected end of snapshot"),
+            (214, "line 6: expected `shard` or `end`, got `s`"),
+            (240, "line 7: missing token"),
+            (262, "line 8: unexpected end of snapshot"),
+            (289, "line 9: unexpected end of snapshot"),
+            (301, "line 9: expected `completed`, got `com`"),
+            (318, "line 10: missing token"),
+            (345, "line 12: missing token"),
+            (357, "line 12: missing token"),
+            (382, "line 13: expected `shard` or `end`, got `e`"),
+        ];
+        for (cut, what) in expected {
+            assert_eq!(
+                read_error(&text.as_bytes()[..cut]),
+                format!("snapshot parse error at {what}"),
+                "cut at {cut}: {:?}",
+                &text[..cut]
+            );
+        }
+        // The final newline is optional.
+        assert!(read_snapshot(&text.as_bytes()[..text.len() - 1]).is_ok());
+        assert!(read_snapshot(text.as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn an_over_cap_line_fails_at_its_own_line_number() {
+        // An endless `tasks` line: the reader stops buffering at the cap.
+        let prefix = format!("{PRELUDE}taskmap 1 0\nshard 0 1 0 noindex\ntasks ");
+        let endless = io::BufReader::new(io::Cursor::new(prefix).chain(io::repeat(b'0')));
+        let err = read_snapshot(endless).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            format!(
+                "snapshot parse error at line 7: line exceeds the {MAX_SNAPSHOT_LINE}-byte cap"
+            )
+        );
+    }
+
+    #[test]
+    fn bad_tokens_fail_with_the_standard_parsers_messages() {
+        for (line, what) in [
+            (
+                "region 0x00000000000000 0000000000000000 4059000000000000 4059000000000000",
+                "line 3: bad f64 bit pattern `0x00000000000000`: invalid digit found in string",
+            ),
+            (
+                "region -000000000000000 0000000000000000 4059000000000000 4059000000000000",
+                "line 3: bad f64 bit pattern `-000000000000000`: invalid digit found in string",
+            ),
+            (
+                "region 10000000000000000 0000000000000000 4059000000000000 4059000000000000",
+                "line 3: bad f64 bit pattern `10000000000000000`: number too large to fit in target type",
+            ),
+            (
+                "region 000000000000000g 0000000000000000 4059000000000000 4059000000000000",
+                "line 3: bad f64 bit pattern `000000000000000g`: invalid digit found in string",
+            ),
+            (
+                "region + 0000000000000000 4059000000000000 4059000000000000",
+                "line 3: bad f64 bit pattern `+`: invalid digit found in string",
+            ),
+            (
+                "region 0000000000000000\u{1c}0000000000000000 4059000000000000 4059000000000000",
+                "line 3: bad f64 bit pattern `0000000000000000\u{1c}0000000000000000`: invalid digit found in string",
+            ),
+            (
+                "region 0000000000000000 0000000000000000 4059000000000000",
+                "line 3: missing token",
+            ),
+            (
+                "regions 0000000000000000 0000000000000000 4059000000000000 4059000000000000",
+                "line 3: expected `region`, got `regions`",
+            ),
+        ] {
+            let text = PRELUDE.replacen(
+                "region 0000000000000000 0000000000000000 4059000000000000 4059000000000000",
+                line,
+                1,
+            );
+            assert_eq!(
+                read_error(format!("{text}{ONE_SHARD}").as_bytes()),
+                format!("snapshot parse error at {what}"),
+                "{line:?}"
+            );
+        }
+        for (line, what) in [
+            (
+                "config laf 403e000000000000 -64 0",
+                "bad integer `-64`: invalid digit found in string",
+            ),
+            (
+                "config laf 403e000000000000 18446744073709551616 0",
+                "bad integer `18446744073709551616`: number too large to fit in target type",
+            ),
+            (
+                "config laf 403e000000000000 6_4 0",
+                "bad integer `6_4`: invalid digit found in string",
+            ),
+            (
+                "config laf 403e000000000000 \u{664} 0",
+                "bad integer `\u{664}`: invalid digit found in string",
+            ),
+            ("config laf 403e000000000000 64", "missing token"),
+            (
+                "config laf 403e000000000000 64 0 grow x",
+                "bad integer `x`: invalid digit found in string",
+            ),
+        ] {
+            let text = PRELUDE.replacen("config laf 403e000000000000 64 0", line, 1);
+            assert_eq!(
+                read_error(format!("{text}{ONE_SHARD}").as_bytes()),
+                format!("snapshot parse error at line 4: {what}"),
+                "{line:?}"
+            );
+        }
+        let mut text = format!("{PRELUDE}{ONE_SHARD}").into_bytes();
+        let at = text.windows(5).position(|w| w == b"tasks").unwrap();
+        text[at + 8] = 0xFF;
+        assert_eq!(
+            read_error(&text),
+            "snapshot parse error at line 7: line is not valid UTF-8"
+        );
+    }
+
+    #[test]
+    fn lenient_tokens_parse_like_the_standard_parsers() {
+        let canonical = read_snapshot(format!("{PRELUDE}{ONE_SHARD}").as_bytes()).unwrap();
+        // Each variant spells the canonical snapshot differently; the
+        // reader has always accepted what `from_str_radix` / `parse` and
+        // `split_whitespace` accept, and must keep doing so.
+        for (from, to) in [
+            ("tasks 4024000000000000", "tasks 4024000000000000\t"),
+            (
+                "tasks 4024000000000000 ",
+                "tasks 4024000000000000\u{b}\u{c}",
+            ),
+            ("tasks 4024000000000000 ", "tasks 4024000000000000\u{a0}"),
+            (
+                "tasks 4024000000000000 ",
+                "tasks   4024000000000000\u{3000}\u{2003}",
+            ),
+            ("tasks 4024000000000000", "tasks 4024000000000000\r"),
+            ("quality 3fe0000000000000", "quality 3FE0000000000000"),
+            ("quality 3fe0000000000000", "quality +3fe0000000000000"),
+            ("quality 3fe0000000000000", "quality 00003fe0000000000000"),
+            ("region 0000000000000000", "region 0"),
+            ("region 0000000000000000", "region +0"),
+            (
+                "config laf 403e000000000000 64",
+                "config laf 403e000000000000 +64",
+            ),
+            (
+                "config laf 403e000000000000 64",
+                "config laf 403e000000000000 000000000000000000000064",
+            ),
+            ("assignments 1\n", "assignments 1\n \n\u{a0}\n\n"),
+            ("a 7 0", "  a\t7 0"),
+        ] {
+            let text = format!("{PRELUDE}{ONE_SHARD}").replacen(from, to, 1);
+            assert_ne!(text, format!("{PRELUDE}{ONE_SHARD}"), "{from:?} not found");
+            let decoded =
+                read_snapshot(text.as_bytes()).unwrap_or_else(|e| panic!("{to:?} refused: {e}"));
+            assert_eq!(decoded, canonical, "{to:?}");
+        }
+        // A short pattern is a different value, not an error.
+        let text =
+            format!("{PRELUDE}{ONE_SHARD}").replacen("a 7 0 3fe8000000000000", "a 7 0 3ff", 1);
+        let decoded = read_snapshot(text.as_bytes()).unwrap();
+        assert_eq!(decoded.engines[0].assignments[0].acc.to_bits(), 0x3ff);
     }
 
     #[test]

@@ -39,6 +39,8 @@
 //! simply fall back to `0x04` until a `v2` assigns them opcodes, so the
 //! codec never lags the text format.
 
+use ltc_core::numfmt::{self, Case};
+
 /// Header line of a binary snapshot, without the trailing newline.
 pub const BINSNAP_HEADER: &str = "ltc-snapshot-bin v1";
 
@@ -116,15 +118,11 @@ fn is_canonical_decimal(token: &str) -> Option<u64> {
     (v.to_string() == token).then_some(v)
 }
 
+/// A float bit pattern exactly as the text writer spells it: 16
+/// lowercase digits. Any other spelling is kept verbatim by a later
+/// class, so `decode` can reproduce it byte for byte.
 fn is_hex_f64(token: &str) -> Option<u64> {
-    if token.len() != 16
-        || !token
-            .bytes()
-            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-    {
-        return None;
-    }
-    u64::from_str_radix(token, 16).ok()
+    numfmt::parse_hex16(token.as_bytes(), Case::Lower)
 }
 
 fn is_bitstring(token: &str) -> bool {
@@ -273,13 +271,12 @@ pub fn decode(bytes: &[u8]) -> Result<String, String> {
                 return Ok(text);
             }
             OP_INT => {
-                let v = r.varint()?;
-                text.push_str(&v.to_string());
+                numfmt::push_u64_str(&mut text, r.varint()?);
             }
             OP_F64 => {
                 let raw = r.take(8)?;
                 let bits = u64::from_le_bytes(raw.try_into().expect("8-byte slice"));
-                text.push_str(&format!("{bits:016x}"));
+                numfmt::push_hex_f64_str(&mut text, f64::from_bits(bits));
             }
             OP_BITS => {
                 let n_bits = r.varint()?;
@@ -341,6 +338,25 @@ mod tests {
         let mut text = Vec::new();
         write_snapshot(&snap, &mut text).unwrap();
         String::from_utf8(text).unwrap()
+    }
+
+    #[test]
+    fn float_tokens_are_exactly_sixteen_lowercase_digits() {
+        for (token, bits) in [
+            ("3ff0000000000000", Some(1f64.to_bits())),
+            ("ffffffffffffffff", Some(u64::MAX)),
+            ("3FF0000000000000", None),
+            ("3fF0000000000000", None),
+            ("+3f0000000000000", None),
+            ("3ff000000000000", None),
+            ("03ff0000000000000", None),
+            ("3ff000000000000g", None),
+        ] {
+            assert_eq!(is_hex_f64(token), bits, "{token:?}");
+        }
+        // What is not a float token still survives verbatim.
+        let text = "a 3FF0000000000000 +3f0000000000000 3ff000000000000\n";
+        assert_eq!(decode(&encode(text).unwrap()).unwrap(), text);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 
 use crate::{binsnap, wal, DurableError};
 use ltc_core::service::ServiceSnapshot;
-use ltc_core::snapshot::{read_snapshot, write_snapshot, SNAPSHOT_HEADER};
+use ltc_core::snapshot::{encode_snapshot, read_snapshot, SNAPSHOT_HEADER};
 use std::fs::{self, File};
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// On-disk encoding of a checkpoint. Either decodes to the same
@@ -44,15 +44,23 @@ pub fn checkpoint_path(dir: &Path, seq: u64, format: SnapshotFormat) -> PathBuf 
 }
 
 /// Writes a checkpoint atomically (temp file, fsync, rename, directory
-/// fsync) and returns its final path.
+/// fsync) to [`checkpoint_path`] and returns the length of its snapshot
+/// text.
+///
+/// `text_hint` is the previous checkpoint's text length (0 for none).
+/// A session's snapshot only grows between checkpoints, so the encode
+/// buffer is reserved at that size plus an eighth and the encoder
+/// never reallocates a many-megabyte buffer mid-write.
 pub fn write_checkpoint(
     dir: &Path,
     seq: u64,
     snapshot: &ServiceSnapshot,
     format: SnapshotFormat,
-) -> Result<PathBuf, DurableError> {
-    let mut text = Vec::new();
-    write_snapshot(snapshot, &mut text)?;
+    text_hint: usize,
+) -> Result<usize, DurableError> {
+    let mut text = Vec::with_capacity(text_hint + text_hint / 8);
+    encode_snapshot(snapshot, &mut text);
+    let text_len = text.len();
     let bytes = match format {
         SnapshotFormat::Text => text,
         SnapshotFormat::Binary => {
@@ -75,7 +83,7 @@ pub fn write_checkpoint(
     File::open(&tmp)?.sync_all()?;
     fs::rename(&tmp, &path)?;
     wal::sync_dir(dir);
-    Ok(path)
+    Ok(text_len)
 }
 
 /// Lists `(seq, path)` for every checkpoint file in the directory, in
@@ -134,8 +142,7 @@ pub fn load_checkpoint(path: &Path) -> Result<ServiceSnapshot, DurableError> {
             "checkpoint does not open with \"{SNAPSHOT_HEADER}\""
         )));
     }
-    read_snapshot(BufReader::new(text.as_bytes()))
-        .map_err(|e| corrupt(format!("undecodable snapshot: {e}")))
+    read_snapshot(text.as_bytes()).map_err(|e| corrupt(format!("undecodable snapshot: {e}")))
 }
 
 /// Restores the newest checkpoint that actually decodes, returning its
@@ -212,8 +219,8 @@ mod tests {
     fn both_formats_round_trip_and_newest_valid_wins() {
         let dir = temp_dir("roundtrip");
         let snap = sample_snapshot();
-        write_checkpoint(&dir, 0, &snap, SnapshotFormat::Text).unwrap();
-        write_checkpoint(&dir, 7, &snap, SnapshotFormat::Binary).unwrap();
+        write_checkpoint(&dir, 0, &snap, SnapshotFormat::Text, 0).unwrap();
+        write_checkpoint(&dir, 7, &snap, SnapshotFormat::Binary, 0).unwrap();
         // A newer checkpoint that is pure garbage must be skipped.
         fs::write(checkpoint_path(&dir, 9, SnapshotFormat::Text), "garbage").unwrap();
 
@@ -229,7 +236,7 @@ mod tests {
         let dir = temp_dir("compact");
         let snap = sample_snapshot();
         for seq in [0, 3, 9] {
-            write_checkpoint(&dir, seq, &snap, SnapshotFormat::Text).unwrap();
+            write_checkpoint(&dir, seq, &snap, SnapshotFormat::Text, 0).unwrap();
         }
         assert_eq!(compact_checkpoints(&dir, 9).unwrap(), 2);
         let left = list_checkpoints(&dir).unwrap();
@@ -242,7 +249,7 @@ mod tests {
     fn a_stray_tmp_file_is_invisible_to_the_loader() {
         let dir = temp_dir("tmp");
         let snap = sample_snapshot();
-        write_checkpoint(&dir, 4, &snap, SnapshotFormat::Binary).unwrap();
+        write_checkpoint(&dir, 4, &snap, SnapshotFormat::Binary, 0).unwrap();
         fs::write(
             dir.join("checkpoint-00000000000000000009.tmp"),
             "half-written",

@@ -87,6 +87,8 @@ pub struct DurableHandle {
     options: DurableOptions,
     since_checkpoint: u64,
     checkpoints: u64,
+    /// Text length of the newest checkpoint: the next one's buffer size.
+    checkpoint_len: usize,
     closed: bool,
 }
 
@@ -105,7 +107,7 @@ impl DurableHandle {
             return Err(DurableError::AlreadyInitialized(dir.to_path_buf()));
         }
         let snapshot = inner.snapshot()?;
-        checkpoint::write_checkpoint(dir, 0, &snapshot, options.format)?;
+        let checkpoint_len = checkpoint::write_checkpoint(dir, 0, &snapshot, options.format, 0)?;
         let wal = WalWriter::new_segment(dir, 0, 0, options.sync)?;
         inner.announce_lifecycle(Lifecycle::Checkpointed { seq: 0 });
         Ok(Self {
@@ -115,6 +117,7 @@ impl DurableHandle {
             options,
             since_checkpoint: 0,
             checkpoints: 1,
+            checkpoint_len,
             closed: false,
         })
     }
@@ -138,7 +141,8 @@ impl DurableHandle {
             next_segment,
         } = recovery::recover(dir)?;
         let snapshot = inner.snapshot()?;
-        checkpoint::write_checkpoint(dir, next_seq, &snapshot, options.format)?;
+        let checkpoint_len =
+            checkpoint::write_checkpoint(dir, next_seq, &snapshot, options.format, 0)?;
         let mut wal = WalWriter::new_segment(dir, next_segment, next_seq, options.sync)?;
         wal.compact()?;
         checkpoint::compact_checkpoints(dir, next_seq)?;
@@ -158,6 +162,7 @@ impl DurableHandle {
                 options,
                 since_checkpoint: 0,
                 checkpoints: 1,
+                checkpoint_len,
                 closed: false,
             },
             report,
@@ -212,8 +217,15 @@ impl DurableHandle {
     pub fn checkpoint_now(&mut self) -> Result<u64, ServiceError> {
         let seq = self.wal.next_seq();
         let snapshot = self.inner.snapshot()?;
-        checkpoint::write_checkpoint(&self.dir, seq, &snapshot, self.options.format)
-            .map_err(durable_failed)?;
+        let checkpoint_len = checkpoint::write_checkpoint(
+            &self.dir,
+            seq,
+            &snapshot,
+            self.options.format,
+            self.checkpoint_len,
+        )
+        .map_err(durable_failed)?;
+        self.checkpoint_len = checkpoint_len;
         self.wal.rotate().map_err(wal_failed)?;
         self.wal.compact().map_err(wal_failed)?;
         checkpoint::compact_checkpoints(&self.dir, seq).map_err(durable_failed)?;

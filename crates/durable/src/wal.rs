@@ -63,6 +63,7 @@
 
 use crate::DurableError;
 use ltc_core::model::{Task, Worker};
+use ltc_core::numfmt;
 use ltc_proto::json::{self, Json};
 use ltc_proto::wire;
 use ltc_spatial::Point;
@@ -238,57 +239,28 @@ pub fn encode_record(seq: u64, record: &WalRecord) -> String {
     out
 }
 
-/// Appends a decimal `u64` without going through the `fmt` machinery —
-/// the log's append path runs once per submission and is benchmarked
-/// against the unlogged service, so every nanosecond here is visible.
-fn push_decimal(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
-}
-
-/// Appends an `f64`'s bit pattern as 16 lowercase hex digits — the
-/// same discipline as `wire::hex`, minus the allocation.
-fn push_hex_bits(out: &mut String, v: f64) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let bits = v.to_bits();
-    let mut buf = [0u8; 16];
-    for (i, digit) in buf.iter_mut().enumerate() {
-        *digit = HEX[((bits >> (60 - 4 * i)) & 0xF) as usize];
-    }
-    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
-}
-
 /// [`encode_record`] into a caller-owned buffer — the hot-path form
 /// ([`WalWriter::append`] reuses one buffer so steady-state logging
 /// allocates nothing).
 fn encode_record_into(out: &mut String, seq: u64, record: &WalRecord) {
     let body_start = out.len();
     out.push_str("{\"seq\":");
-    push_decimal(out, seq);
+    numfmt::push_u64_str(out, seq);
     match record {
         WalRecord::Submit { worker } => {
             out.push_str(",\"op\":\"submit\",\"x\":\"");
-            push_hex_bits(out, worker.loc.x);
+            numfmt::push_hex_f64_str(out, worker.loc.x);
             out.push_str("\",\"y\":\"");
-            push_hex_bits(out, worker.loc.y);
+            numfmt::push_hex_f64_str(out, worker.loc.y);
             out.push_str("\",\"acc\":\"");
-            push_hex_bits(out, worker.accuracy);
+            numfmt::push_hex_f64_str(out, worker.accuracy);
             out.push_str("\"}");
         }
         WalRecord::Post { task, row } => {
             out.push_str(",\"op\":\"post\",\"x\":\"");
-            push_hex_bits(out, task.loc.x);
+            numfmt::push_hex_f64_str(out, task.loc.x);
             out.push_str("\",\"y\":\"");
-            push_hex_bits(out, task.loc.y);
+            numfmt::push_hex_f64_str(out, task.loc.y);
             out.push('"');
             if let Some(row) = row {
                 out.push_str(",\"row\":[");
@@ -297,7 +269,7 @@ fn encode_record_into(out: &mut String, seq: u64, record: &WalRecord) {
                         out.push(',');
                     }
                     out.push('"');
-                    push_hex_bits(out, *acc);
+                    numfmt::push_hex_f64_str(out, *acc);
                     out.push('"');
                 }
                 out.push(']');

@@ -295,14 +295,19 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar. The frame arrived as
-                    // &str and the cursor only ever stops on char
-                    // boundaries, so the suffix re-validates cheaply.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte in one step. Those are all ASCII, so
+                    // the run ends on a char boundary of the frame (which
+                    // arrived as &str), and validating just the run keeps
+                    // a multi-megabyte string linear.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
                         .map_err(|_| self.err("bad UTF-8"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("bad UTF-8"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }

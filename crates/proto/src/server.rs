@@ -392,7 +392,7 @@ fn converse(
         // (A partial frame in the read buffer means its remainder is
         // already in flight from a client that writes whole frames
         // before awaiting, so waiting for it cannot deadlock.)
-        if !acks.is_empty() && reader.buffer().is_empty() && flush_acks(writer, &mut acks).is_err()
+        if !acks.is_empty() && reader.buffer().is_empty() && write_batch(writer, &mut acks).is_err()
         {
             return;
         }
@@ -440,14 +440,14 @@ fn converse(
             // position.
             acks.extend_from_slice(encoded.as_bytes());
             acks.push(b'\n');
-            if acks.len() >= ACK_BATCH_CAP && flush_acks(writer, &mut acks).is_err() {
+            if acks.len() >= ACK_BATCH_CAP && write_batch(writer, &mut acks).is_err() {
                 return;
             }
             continue;
         }
         // Lockstep responses keep their immediate write, behind any
         // batched acks still owed (FIFO across the whole connection).
-        if !acks.is_empty() && flush_acks(writer, &mut acks).is_err() {
+        if !acks.is_empty() && write_batch(writer, &mut acks).is_err() {
             return;
         }
         // The requester hears the outcome *before* the acceptor stops —
@@ -463,17 +463,18 @@ fn converse(
     }
 }
 
-/// Flush threshold for batched windowed acknowledgements.
+/// Flush threshold for a batch of whole frames: windowed
+/// acknowledgements, and events in the forwarder.
 const ACK_BATCH_CAP: usize = 64 * 1024;
 
-/// Writes the batched windowed acknowledgements in one locked `write`
-/// (events from the forwarder still interleave only at frame
+/// Writes a batch of whole frames in one locked `write` and empties it
+/// (acks and forwarded events therefore interleave only at frame
 /// boundaries).
-fn flush_acks(writer: &Arc<Mutex<TcpStream>>, acks: &mut Vec<u8>) -> io::Result<()> {
+fn write_batch(writer: &Arc<Mutex<TcpStream>>, batch: &mut Vec<u8>) -> io::Result<()> {
     use std::io::Write as _;
     let mut stream = lock_recovering(writer);
-    let result = stream.write_all(acks);
-    acks.clear();
+    let result = stream.write_all(batch);
+    batch.clear();
     result
 }
 
@@ -622,18 +623,31 @@ fn execute(
                     // every other frame; `v1` events stay byte-identical
                     // to the `v1` grammar.
                     let sid = (version == wire::PROTO_VERSION_V2).then(|| entry.name().to_string());
-                    let emit = |event: &_, writer: &Arc<Mutex<TcpStream>>| {
+                    let encode = |event: &_, batch: &mut Vec<u8>| {
                         let mut frame = wire::encode_event(event);
                         if let Some(sid) = &sid {
                             frame = wire::with_sid(frame, sid);
                         }
-                        let mut sock = lock_recovering(writer);
-                        wire::write_frame(&mut *sock, &frame)
+                        batch.extend_from_slice(frame.as_bytes());
+                        batch.push(b'\n');
                     };
+                    // Every event already queued joins one batch that
+                    // goes out in one locked `write` (capped like the
+                    // windowed acks), so a burst costs one syscall, not
+                    // one per frame; waiting is never added, only what
+                    // is already there is taken.
+                    let mut batch: Vec<u8> = Vec::new();
                     loop {
                         match stream.recv_timeout(FORWARDER_POLL) {
                             Some(event) => {
-                                if emit(&event, &writer).is_err() {
+                                encode(&event, &mut batch);
+                                while batch.len() < ACK_BATCH_CAP {
+                                    match stream.try_recv() {
+                                        Some(event) => encode(&event, &mut batch),
+                                        None => break,
+                                    }
+                                }
+                                if write_batch(&writer, &mut batch).is_err() {
                                     return;
                                 }
                             }
@@ -648,10 +662,14 @@ fn execute(
                                     || shared.stopping.load(Ordering::SeqCst)
                                 {
                                     while let Some(event) = stream.try_recv() {
-                                        if emit(&event, &writer).is_err() {
+                                        encode(&event, &mut batch);
+                                        if batch.len() >= ACK_BATCH_CAP
+                                            && write_batch(&writer, &mut batch).is_err()
+                                        {
                                             return;
                                         }
                                     }
+                                    let _ = write_batch(&writer, &mut batch);
                                     return;
                                 }
                             }
@@ -681,14 +699,9 @@ fn execute(
             match session.snapshot() {
                 Ok(snapshot) => {
                     let mut text = Vec::new();
-                    match ltc_core::snapshot::write_snapshot(&snapshot, &mut text) {
-                        Ok(()) => Response::Snapshot {
-                            // The writer emits ASCII text.
-                            text: String::from_utf8_lossy(&text).into_owned(),
-                        },
-                        Err(e) => Response::Err {
-                            message: format!("could not serialize the snapshot: {e}"),
-                        },
+                    ltc_core::snapshot::encode_snapshot(&snapshot, &mut text);
+                    Response::Snapshot {
+                        text: String::from_utf8(text).expect("the snapshot writer emits ASCII"),
                     }
                 }
                 Err(e) => err_response(e),

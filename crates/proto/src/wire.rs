@@ -64,10 +64,12 @@
 
 use crate::json::{self, Json};
 use ltc_core::model::{ProblemParams, QualityModel, Task, TaskId, Worker, WorkerId};
+use ltc_core::numfmt::{self, Case};
 use ltc_core::service::{
     Algorithm, Event, Lifecycle, RebalanceOutcome, ServiceMetrics, SessionInfo, StreamEvent,
 };
 use ltc_spatial::{BoundingBox, Point};
+use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
 /// The protocol name, sent in both handshake frames.
@@ -132,25 +134,36 @@ pub type WireError = String;
 
 /// Renders an `f64` as its 16-hex-digit IEEE-754 bit pattern — the
 /// `ltc-snapshot v1` / `ltc-proto v1` exactness convention, shared by
-/// every layer that persists or transmits floats (the `ltc-durable`
-/// write-ahead log reuses it verbatim).
-pub fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// every layer that persists or transmits floats
+/// ([`numfmt::hex_f64`]). The digits format straight into the frame
+/// being built, with no `String` per value.
+pub fn hex(v: f64) -> impl fmt::Display {
+    struct Hex(f64);
+    impl fmt::Display for Hex {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str(
+                std::str::from_utf8(&numfmt::hex_f64(self.0)).expect("hex digits are ASCII"),
+            )
+        }
+    }
+    Hex(v)
 }
 
 /// Parses a [`hex`]-rendered bit pattern back into the identical `f64`,
-/// rejecting anything that is not exactly 16 hex digits inside a JSON
-/// string.
+/// rejecting anything that is not 16 bytes inside a JSON string. The
+/// digits may be of either case, and — as `u64::from_str_radix` has
+/// always allowed here — a `+` may stand in for the first one.
 pub fn unhex(field: &'static str, v: Option<&Json>) -> Result<f64, WireError> {
     let s = v
         .and_then(Json::as_str)
         .ok_or_else(|| format!("missing or non-string `{field}`"))?;
-    if s.len() != 16 {
-        return Err(format!("`{field}` is not a 16-hex-digit f64 bit pattern"));
-    }
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("`{field}` is not a 16-hex-digit f64 bit pattern"))
+    let bits = match numfmt::parse_hex16(s.as_bytes(), Case::Any) {
+        Some(bits) => Some(bits),
+        None if s.len() == 16 && s.starts_with('+') => u64::from_str_radix(s, 16).ok(),
+        None => None,
+    };
+    bits.map(f64::from_bits)
+        .ok_or_else(|| format!("`{field}` is not a 16-hex-digit f64 bit pattern"))
 }
 
 fn uint(field: &'static str, v: Option<&Json>) -> Result<u64, WireError> {
@@ -173,17 +186,12 @@ fn word<'a>(field: &'static str, v: Option<&'a Json>) -> Result<&'a str, WireErr
 // framings still work and hostile input hits the same guarded path it
 // always did. The differential unit test pins the agreement.
 
-/// Consumes exactly 16 hex digits (a [`hex`]-rendered `f64`).
+/// Consumes exactly 16 hex digits of either case (a [`hex`]-rendered
+/// `f64`).
 fn eat_hex16(rest: &[u8]) -> Option<(f64, &[u8])> {
-    if rest.len() < 16 {
-        return None;
-    }
-    let (digits, rest) = rest.split_at(16);
-    let mut bits = 0u64;
-    for &b in digits {
-        bits = (bits << 4) | (b as char).to_digit(16)? as u64;
-    }
-    Some((f64::from_bits(bits), rest))
+    let digits = rest.get(..16)?;
+    let bits = numfmt::parse_hex16(digits, Case::Any)?;
+    Some((f64::from_bits(bits), &rest[16..]))
 }
 
 /// Consumes a canonical JSON unsigned integer (no sign, no leading
@@ -313,10 +321,24 @@ pub fn read_frame<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
 
 /// Writes one frame and flushes it (frames are the unit of progress;
 /// buffering across them would deadlock lockstep request/response use).
+///
+/// The body and its `\n` go out in one vectored `write`, so on a socket
+/// a small frame is one segment, not a body segment chased by a
+/// one-byte delimiter segment. A short write falls back to plain writes
+/// of whatever is left.
 pub fn write_frame<W: Write>(writer: &mut W, frame: &str) -> io::Result<()> {
     debug_assert!(!frame.contains('\n'), "frames are single lines");
-    writer.write_all(frame.as_bytes())?;
-    writer.write_all(b"\n")?;
+    let body = frame.as_bytes();
+    let written = loop {
+        match writer.write_vectored(&[io::IoSlice::new(body), io::IoSlice::new(b"\n")]) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            result => break result?,
+        }
+    };
+    if written <= body.len() {
+        writer.write_all(&body[written..])?;
+        writer.write_all(b"\n")?;
+    }
     writer.flush()
 }
 
@@ -444,7 +466,7 @@ impl Request {
                             out.push(',');
                         }
                         out.push('"');
-                        out.push_str(&hex(a));
+                        numfmt::push_hex_f64_str(&mut out, a);
                         out.push('"');
                     }
                     out.push(']');
@@ -1499,6 +1521,64 @@ mod tests {
         for frame in ["{\"ev\":\"worker\"}", "{\"ev\":\"life\",\"kind\":\"??\"}"] {
             assert!(decode_event(frame).is_err(), "accepted {frame:?}");
         }
+    }
+
+    #[test]
+    fn write_frame_survives_short_writes() {
+        /// Takes at most three bytes per call (and so at most three
+        /// bytes of the first slice of a vectored write).
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for frame in ["", "{}", "{\"op\":\"drain\"}"] {
+            let mut trickle = Trickle(Vec::new());
+            write_frame(&mut trickle, frame).unwrap();
+            assert_eq!(trickle.0, format!("{frame}\n").into_bytes());
+            let mut whole = Vec::new();
+            write_frame(&mut whole, frame).unwrap();
+            assert_eq!(whole, trickle.0);
+        }
+    }
+
+    #[test]
+    fn hex_decoders_keep_their_token_acceptance() {
+        // (token, what the fast path's `eat_hex16` reads, what the
+        // generic route's `unhex` reads). The fast path takes exactly 16
+        // hex digits of either case; `unhex` also takes a `+` in place
+        // of the first digit, as `from_str_radix` always has, and a
+        // frame the fast path refuses falls through to it.
+        let one = 1f64.to_bits();
+        for (token, fast, generic) in [
+            ("3ff0000000000000", Some(one), Some(one)),
+            ("3FF0000000000000", Some(one), Some(one)),
+            ("3fF0000000000000", Some(one), Some(one)),
+            ("+3f0000000000000", None, Some(0x3f0_0000_0000_0000)),
+            ("3ff000000000000", None, None),
+            // The fast path consumes 16 digits; the rest of the frame
+            // must then match, which a 17th digit never does.
+            ("3ff00000000000000", Some(one), None),
+            ("0x3ff00000000000", None, None),
+            ("-3f0000000000000", None, None),
+            ("3ff000000000000g", None, None),
+            ("3ff00000 0000000", None, None),
+            ("", None, None),
+        ] {
+            let eaten = eat_hex16(token.as_bytes()).map(|(v, _)| v.to_bits());
+            assert_eq!(eaten, fast, "eat_hex16({token:?})");
+            let json = Json::Str(token.to_string());
+            let parsed = unhex("x", Some(&json)).ok().map(f64::to_bits);
+            assert_eq!(parsed, generic, "unhex({token:?})");
+        }
+        assert_eq!(format!("{}", hex(1.0)), "3ff0000000000000");
+        assert_eq!(format!("{}", hex(-0.0)), "8000000000000000");
     }
 
     #[test]

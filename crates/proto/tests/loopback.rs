@@ -213,6 +213,48 @@ fn two_concurrent_clients_equal_a_single_session_replay() {
 }
 
 #[test]
+fn a_multi_megabyte_snapshot_fetches_byte_identically() {
+    // Thousands of tasks and tens of thousands of committed assignments:
+    // a snapshot of megabytes, which crosses the wire as one JSON string
+    // inside one frame. Fetching it must stay linear in its size.
+    let tasks: Vec<Task> = (0..4000)
+        .map(|i| Task::new(Point::new((i % 80) as f64 * 12.5, (i / 80) as f64 * 19.5)))
+        .collect();
+    let params = ProblemParams::builder()
+        .epsilon(0.05)
+        .capacity(3)
+        .d_max(30.0)
+        .build()
+        .unwrap();
+    let mut service = ServiceBuilder::new(params, region())
+        .tasks(tasks)
+        .build()
+        .unwrap();
+    for w in workers(60_000, 3) {
+        service.check_in(&w);
+    }
+    let mut expected = Vec::new();
+    ltc_core::snapshot::write_snapshot(&service.snapshot(), &mut expected).unwrap();
+    assert!(expected.len() > 2 << 20, "only {} bytes", expected.len());
+
+    let server = LtcServer::bind("127.0.0.1:0", service.into_handle().unwrap())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut remote = LtcClient::connect(server.addr()).unwrap();
+    let mut fetched = Vec::new();
+    ltc_core::snapshot::write_snapshot(&remote.snapshot().unwrap(), &mut fetched).unwrap();
+    assert!(
+        fetched == expected,
+        "the fetched snapshot text differs ({} vs {} bytes)",
+        fetched.len(),
+        expected.len()
+    );
+    remote.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+#[test]
 fn server_side_snapshot_mid_stream_restores_bit_exact() {
     let server = LtcServer::bind("127.0.0.1:0", handle(3, Algorithm::Random { seed: 9 }))
         .unwrap()
