@@ -16,8 +16,10 @@ use ltc_bench::alloc::{current_bytes, peak_bytes, reset_peak};
 fn byte_counters_track_allocations_reallocations_and_peaks() {
     // A large allocation raises the peak by its size; dropping it lowers
     // the live count again.
+    // `black_box` keeps a release build from eliding the unused
+    // allocations below.
     let baseline = reset_peak();
-    let v = vec![0u8; 1 << 20];
+    let v = std::hint::black_box(vec![0u8; 1 << 20]);
     assert!(peak_bytes() >= baseline + (1 << 20));
     drop(v);
     assert!(current_bytes() < baseline + (1 << 20));
@@ -25,7 +27,7 @@ fn byte_counters_track_allocations_reallocations_and_peaks() {
     // The peak survives the deallocation that follows it.
     let baseline = reset_peak();
     {
-        let _v = vec![0u64; 100_000];
+        let _v = std::hint::black_box(vec![0u64; 100_000]);
     }
     assert!(peak_bytes() >= baseline + 800_000);
 
@@ -33,5 +35,6 @@ fn byte_counters_track_allocations_reallocations_and_peaks() {
     let baseline = reset_peak();
     let mut v: Vec<u8> = Vec::with_capacity(16);
     v.extend(std::iter::repeat_n(1u8, 1 << 18));
+    std::hint::black_box(&v);
     assert!(peak_bytes() >= baseline + (1 << 18));
 }

@@ -86,14 +86,17 @@ pub enum Lifecycle {
         /// Mean live-task count per shard after the rebalance.
         mean_load: f64,
     },
-    /// A durability checkpoint was written: every submission with a
+    /// A durability checkpoint is on disk: every submission with a
     /// write-ahead-log sequence number below `seq` is now covered by a
-    /// persisted snapshot, and the log segments it superseded are
-    /// eligible for compaction. Announced by the `ltc-durable` layer
-    /// (the core runtime itself never checkpoints) through
+    /// persisted snapshot, and the log segments it superseded have been
+    /// compacted away. Announced by the `ltc-durable` layer (the core
+    /// runtime itself never checkpoints) through
     /// [`ServiceHandle::announce_lifecycle`](super::ServiceHandle::announce_lifecycle)
-    /// at a drained quiesce point, so it is ordered exactly after the
-    /// [`Lifecycle::Drained`] of the quiesce that captured the state.
+    /// once the checkpoint is durable. A periodic checkpoint is written
+    /// in the background, so its announcement follows the
+    /// [`Lifecycle::Drained`] of the quiesce that captured the state,
+    /// but possibly after later submissions' deliveries — by the next
+    /// quiesce point at the latest.
     Checkpointed {
         /// The first log sequence number *not* covered by the
         /// checkpoint (= records persisted so far).

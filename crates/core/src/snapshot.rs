@@ -138,18 +138,45 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     numfmt::push_u64(out, v);
 }
 
-/// Serializes a [`ServiceSnapshot`] into the v1 text format.
+/// How much encoded text [`write_snapshot`] buffers before handing it
+/// to the writer.
+const WRITE_CHUNK: usize = 64 * 1024;
+
+/// Serializes a [`ServiceSnapshot`] into the v1 text format, in chunks
+/// of about 64 KiB: the whole text is never held in memory at once.
 pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Result<()> {
-    let mut text = Vec::new();
-    encode_snapshot(snap, &mut text);
-    out.write_all(&text)
+    let mut chunk = Vec::with_capacity(WRITE_CHUNK + WRITE_CHUNK / 4);
+    encode_chunked(snap, &mut chunk, WRITE_CHUNK, &mut |chunk: &mut Vec<u8>| {
+        out.write_all(chunk)?;
+        chunk.clear();
+        Ok(())
+    })?;
+    out.write_all(&chunk)
 }
 
 /// Appends the v1 text of a [`ServiceSnapshot`] to `out` — the bytes
 /// [`write_snapshot`] writes. Every token goes straight into the one
-/// buffer, so a caller that reserves it (a checkpoint writer sized by
-/// its previous checkpoint) encodes without reallocating.
+/// buffer, so a caller that reserves it encodes without reallocating.
 pub fn encode_snapshot(snap: &ServiceSnapshot, out: &mut Vec<u8>) {
+    encode_chunked(snap, out, usize::MAX, &mut |_| Ok(())).expect("appending to a Vec cannot fail");
+}
+
+/// The encoder behind [`write_snapshot`] and [`encode_snapshot`]:
+/// appends tokens to `out` and, inside every loop over the history,
+/// hands `out` to `sink` once it holds `chunk` bytes.
+fn encode_chunked(
+    snap: &ServiceSnapshot,
+    out: &mut Vec<u8>,
+    chunk: usize,
+    sink: &mut dyn FnMut(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut spill = |out: &mut Vec<u8>| {
+        if out.len() >= chunk {
+            sink(out)
+        } else {
+            Ok(())
+        }
+    };
     out.extend_from_slice(SNAPSHOT_HEADER.as_bytes());
     out.extend_from_slice(b"\nparams");
     let p = &snap.params;
@@ -213,6 +240,7 @@ pub fn encode_snapshot(snap: &ServiceSnapshot, out: &mut Vec<u8>) {
     put_u64(out, snap.task_map.len() as u64);
     for &(shard, _) in &snap.task_map {
         put_u64(out, shard.into());
+        spill(out)?;
     }
     out.push(b'\n');
     for (i, e) in snap.engines.iter().enumerate() {
@@ -245,13 +273,18 @@ pub fn encode_snapshot(snap: &ServiceSnapshot, out: &mut Vec<u8>) {
         for t in &e.tasks {
             put_f64(out, t.loc.x);
             put_f64(out, t.loc.y);
+            spill(out)?;
         }
         out.extend_from_slice(b"\nquality");
         for &s in &e.s {
             put_f64(out, s);
+            spill(out)?;
         }
         out.extend_from_slice(b"\ncompleted ");
-        out.extend(e.completed.iter().map(|&c| if c { b'1' } else { b'0' }));
+        for flags in e.completed.chunks(WRITE_CHUNK / 2) {
+            out.extend(flags.iter().map(|&c| if c { b'1' } else { b'0' }));
+            spill(out)?;
+        }
         match &e.accuracy {
             AccuracyModel::Sigmoid => out.extend_from_slice(b"\naccuracy sigmoid"),
             AccuracyModel::Table(table) => {
@@ -259,6 +292,7 @@ pub fn encode_snapshot(snap: &ServiceSnapshot, out: &mut Vec<u8>) {
                 put_u64(out, table.n_workers() as u64);
                 for &v in table.task_major_values() {
                     put_f64(out, v);
+                    spill(out)?;
                 }
             }
         }
@@ -272,9 +306,11 @@ pub fn encode_snapshot(snap: &ServiceSnapshot, out: &mut Vec<u8>) {
             put_f64(out, a.acc);
             put_f64(out, a.contribution);
             out.push(b'\n');
+            spill(out)?;
         }
     }
     out.extend_from_slice(b"end\n");
+    Ok(())
 }
 
 /// Serializes a service's current state (shorthand for

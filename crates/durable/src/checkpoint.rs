@@ -15,9 +15,9 @@
 
 use crate::{binsnap, wal, DurableError};
 use ltc_core::service::ServiceSnapshot;
-use ltc_core::snapshot::{encode_snapshot, read_snapshot, SNAPSHOT_HEADER};
+use ltc_core::snapshot::{encode_snapshot, read_snapshot, write_snapshot, SNAPSHOT_HEADER};
 use std::fs::{self, File};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// On-disk encoding of a checkpoint. Either decodes to the same
@@ -43,27 +43,28 @@ pub fn checkpoint_path(dir: &Path, seq: u64, format: SnapshotFormat) -> PathBuf 
     dir.join(format!("checkpoint-{seq:020}.{ext}"))
 }
 
-/// Writes a checkpoint atomically (temp file, fsync, rename, directory
-/// fsync) to [`checkpoint_path`] and returns the length of its snapshot
-/// text.
+/// Writes a checkpoint atomically to [`checkpoint_path`]: temp file,
+/// fsync, rename, directory fsync. A crash before the rename leaves
+/// only the `*.tmp`, which the loader ignores.
 ///
-/// `text_hint` is the previous checkpoint's text length (0 for none).
-/// A session's snapshot only grows between checkpoints, so the encode
-/// buffer is reserved at that size plus an eighth and the encoder
-/// never reallocates a many-megabyte buffer mid-write.
+/// Text checkpoints are encoded straight into the file in bounded
+/// chunks ([`write_snapshot`]), so the many-megabyte text of a long
+/// history never sits in memory; binary ones are recoded from the
+/// whole text first.
 pub fn write_checkpoint(
     dir: &Path,
     seq: u64,
     snapshot: &ServiceSnapshot,
     format: SnapshotFormat,
-    text_hint: usize,
-) -> Result<usize, DurableError> {
-    let mut text = Vec::with_capacity(text_hint + text_hint / 8);
-    encode_snapshot(snapshot, &mut text);
-    let text_len = text.len();
-    let bytes = match format {
-        SnapshotFormat::Text => text,
+) -> Result<(), DurableError> {
+    let path = checkpoint_path(dir, seq, format);
+    let tmp = path.with_extension("tmp");
+    let mut file = File::create(&tmp)?;
+    match format {
+        SnapshotFormat::Text => write_snapshot(snapshot, &mut file)?,
         SnapshotFormat::Binary => {
+            let mut text = Vec::new();
+            encode_snapshot(snapshot, &mut text);
             let text = String::from_utf8(text).expect("snapshot text is UTF-8");
             let bin = binsnap::encode(&text).map_err(|what| DurableError::Corrupt {
                 path: dir.to_path_buf(),
@@ -74,22 +75,26 @@ pub fn write_checkpoint(
             // would not decode back to its own text must never reach
             // disk.
             debug_assert_eq!(binsnap::decode(&bin).as_deref(), Ok(text.as_str()));
-            bin
+            file.write_all(&bin)?;
         }
-    };
-    let path = checkpoint_path(dir, seq, format);
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, &bytes)?;
-    File::open(&tmp)?.sync_all()?;
+    }
+    file.sync_all()?;
+    drop(file);
     fs::rename(&tmp, &path)?;
     wal::sync_dir(dir);
-    Ok(text_len)
+    Ok(())
 }
 
 /// Lists `(seq, path)` for every checkpoint file in the directory, in
 /// ascending sequence order. Purely name-based; contents are validated
 /// by [`load_latest`].
 pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurableError> {
+    named_files(dir, &[".ltc", ".ltcb"])
+}
+
+/// `(seq, path)` for every `checkpoint-<seq><ext>` in the directory
+/// with one of the given extensions, in ascending sequence order.
+fn named_files(dir: &Path, exts: &[&str]) -> Result<Vec<(u64, PathBuf)>, DurableError> {
     let mut found = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -97,10 +102,7 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurableError>
         let name = name.to_string_lossy();
         if let Some(seq) = name
             .strip_prefix("checkpoint-")
-            .and_then(|rest| {
-                rest.strip_suffix(".ltc")
-                    .or_else(|| rest.strip_suffix(".ltcb"))
-            })
+            .and_then(|rest| exts.iter().find_map(|ext| rest.strip_suffix(ext)))
             .and_then(|digits| digits.parse::<u64>().ok())
         {
             found.push((seq, entry.path()));
@@ -162,8 +164,10 @@ pub fn load_latest(dir: &Path) -> Result<Option<(u64, ServiceSnapshot, u64)>, Du
     Ok(None)
 }
 
-/// Deletes every checkpoint strictly older than `keep_seq`. Called
-/// after a new checkpoint lands; the newest stays, history goes.
+/// Deletes every checkpoint strictly older than `keep_seq`, and every
+/// stray `checkpoint-<seq>.tmp` a crash left below it. Called after a
+/// new checkpoint lands; the newest stays, history goes. Returns how
+/// many checkpoints (not temp files) were removed.
 pub fn compact_checkpoints(dir: &Path, keep_seq: u64) -> Result<u64, DurableError> {
     let mut removed = 0;
     for (seq, path) in list_checkpoints(dir)? {
@@ -172,7 +176,14 @@ pub fn compact_checkpoints(dir: &Path, keep_seq: u64) -> Result<u64, DurableErro
             removed += 1;
         }
     }
-    if removed > 0 {
+    let mut strays = 0;
+    for (seq, path) in named_files(dir, &[".tmp"])? {
+        if seq < keep_seq {
+            fs::remove_file(&path)?;
+            strays += 1;
+        }
+    }
+    if removed + strays > 0 {
         wal::sync_dir(dir);
     }
     Ok(removed)
@@ -219,8 +230,8 @@ mod tests {
     fn both_formats_round_trip_and_newest_valid_wins() {
         let dir = temp_dir("roundtrip");
         let snap = sample_snapshot();
-        write_checkpoint(&dir, 0, &snap, SnapshotFormat::Text, 0).unwrap();
-        write_checkpoint(&dir, 7, &snap, SnapshotFormat::Binary, 0).unwrap();
+        write_checkpoint(&dir, 0, &snap, SnapshotFormat::Text).unwrap();
+        write_checkpoint(&dir, 7, &snap, SnapshotFormat::Binary).unwrap();
         // A newer checkpoint that is pure garbage must be skipped.
         fs::write(checkpoint_path(&dir, 9, SnapshotFormat::Text), "garbage").unwrap();
 
@@ -236,7 +247,7 @@ mod tests {
         let dir = temp_dir("compact");
         let snap = sample_snapshot();
         for seq in [0, 3, 9] {
-            write_checkpoint(&dir, seq, &snap, SnapshotFormat::Text, 0).unwrap();
+            write_checkpoint(&dir, seq, &snap, SnapshotFormat::Text).unwrap();
         }
         assert_eq!(compact_checkpoints(&dir, 9).unwrap(), 2);
         let left = list_checkpoints(&dir).unwrap();
@@ -249,7 +260,7 @@ mod tests {
     fn a_stray_tmp_file_is_invisible_to_the_loader() {
         let dir = temp_dir("tmp");
         let snap = sample_snapshot();
-        write_checkpoint(&dir, 4, &snap, SnapshotFormat::Binary, 0).unwrap();
+        write_checkpoint(&dir, 4, &snap, SnapshotFormat::Binary).unwrap();
         fs::write(
             dir.join("checkpoint-00000000000000000009.tmp"),
             "half-written",

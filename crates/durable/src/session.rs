@@ -5,11 +5,18 @@
 //! *before* it reaches the wrapped [`ServiceHandle`]; every
 //! `checkpoint_every` logged operations the handle quiesces the
 //! service (via the ordinary [`snapshot`](Session::snapshot) drain),
-//! writes a covering checkpoint, rotates the log to a fresh segment,
-//! and deletes everything the checkpoint made redundant. Read-only
-//! calls pass straight through. Callers — the TCP server, the CLI —
-//! drive the result as a plain [`Session`] and never know durability
-//! is underneath.
+//! rotates the log to a fresh segment, and hands the snapshot to a
+//! background checkpointer thread that writes the covering checkpoint
+//! and deletes everything it made redundant. Read-only calls pass
+//! straight through. Callers — the TCP server, the CLI — drive the
+//! result as a plain [`Session`] and never know durability is
+//! underneath.
+//!
+//! At most one checkpoint is in flight. The next checkpoint and every
+//! quiesce point (drain, snapshot, metrics, shutdown,
+//! [`checkpoint_now`](DurableHandle::checkpoint_now), drop) wait for
+//! it first, so counters and on-disk state at a quiesce point are
+//! exactly those of a handle that checkpointed inline.
 
 use crate::checkpoint::{self, SnapshotFormat};
 use crate::wal::{self, SyncPolicy, WalRecord, WalWriter};
@@ -21,6 +28,8 @@ use ltc_core::service::{
 };
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::thread::JoinHandle;
 
 /// How often checkpoints are taken when the caller does not say.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 4096;
@@ -76,6 +85,63 @@ fn durable_failed(e: DurableError) -> ServiceError {
     }
 }
 
+/// A checkpoint whose session-thread half is done: the service was
+/// quiesced at `seq`, `snapshot` captured, and the log rotated to
+/// segment `first_live`. What remains touches only files.
+#[derive(Debug)]
+struct CheckpointJob {
+    dir: PathBuf,
+    seq: u64,
+    snapshot: ServiceSnapshot,
+    format: SnapshotFormat,
+    first_live: u64,
+}
+
+impl CheckpointJob {
+    /// Writes the checkpoint, frees the snapshot, then deletes the
+    /// segments below `first_live` and the checkpoints below `seq`.
+    fn run(self) -> Result<(), DurableError> {
+        checkpoint::write_checkpoint(&self.dir, self.seq, &self.snapshot, self.format)?;
+        drop(self.snapshot);
+        wal::compact_segments(&self.dir, self.first_live)?;
+        checkpoint::compact_checkpoints(&self.dir, self.seq)?;
+        Ok(())
+    }
+}
+
+/// The background thread that finishes periodic checkpoints, one job at
+/// a time, sending back each job's [`CheckpointJob::run`] outcome.
+#[derive(Debug)]
+struct Checkpointer {
+    jobs: Sender<CheckpointJob>,
+    done: Receiver<Result<(), DurableError>>,
+    thread: JoinHandle<()>,
+}
+
+impl Checkpointer {
+    fn spawn() -> io::Result<Self> {
+        let (jobs, inbox) = mpsc::channel::<CheckpointJob>();
+        let (outbox, done) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("ltc-checkpointer".into())
+            .spawn(move || {
+                for job in inbox {
+                    if outbox.send(job.run()).is_err() {
+                        return;
+                    }
+                }
+            })?;
+        Ok(Self { jobs, done, thread })
+    }
+
+    /// Closes the job channel and waits for the thread to finish the
+    /// job it holds, if any.
+    fn stop(self) {
+        drop(self.jobs);
+        self.thread.join().ok();
+    }
+}
+
 /// A durable [`Session`] over an in-process [`ServiceHandle`]. See the
 /// module docs for the log/checkpoint choreography and
 /// [`recover`](crate::recover) for what happens after a crash.
@@ -87,8 +153,10 @@ pub struct DurableHandle {
     options: DurableOptions,
     since_checkpoint: u64,
     checkpoints: u64,
-    /// Text length of the newest checkpoint: the next one's buffer size.
-    checkpoint_len: usize,
+    /// Started at the first periodic checkpoint.
+    checkpointer: Option<Checkpointer>,
+    /// The sequence number the checkpoint in flight covers.
+    in_flight: Option<u64>,
     closed: bool,
 }
 
@@ -107,7 +175,7 @@ impl DurableHandle {
             return Err(DurableError::AlreadyInitialized(dir.to_path_buf()));
         }
         let snapshot = inner.snapshot()?;
-        let checkpoint_len = checkpoint::write_checkpoint(dir, 0, &snapshot, options.format, 0)?;
+        checkpoint::write_checkpoint(dir, 0, &snapshot, options.format)?;
         let wal = WalWriter::new_segment(dir, 0, 0, options.sync)?;
         inner.announce_lifecycle(Lifecycle::Checkpointed { seq: 0 });
         Ok(Self {
@@ -117,7 +185,8 @@ impl DurableHandle {
             options,
             since_checkpoint: 0,
             checkpoints: 1,
-            checkpoint_len,
+            checkpointer: None,
+            in_flight: None,
             closed: false,
         })
     }
@@ -141,10 +210,9 @@ impl DurableHandle {
             next_segment,
         } = recovery::recover(dir)?;
         let snapshot = inner.snapshot()?;
-        let checkpoint_len =
-            checkpoint::write_checkpoint(dir, next_seq, &snapshot, options.format, 0)?;
-        let mut wal = WalWriter::new_segment(dir, next_segment, next_seq, options.sync)?;
-        wal.compact()?;
+        checkpoint::write_checkpoint(dir, next_seq, &snapshot, options.format)?;
+        let wal = WalWriter::new_segment(dir, next_segment, next_seq, options.sync)?;
+        wal::compact_segments(dir, next_segment)?;
         checkpoint::compact_checkpoints(dir, next_seq)?;
         inner.announce_lifecycle(Lifecycle::Checkpointed { seq: next_seq });
         let report = ResumeReport {
@@ -162,7 +230,8 @@ impl DurableHandle {
                 options,
                 since_checkpoint: 0,
                 checkpoints: 1,
-                checkpoint_len,
+                checkpointer: None,
+                in_flight: None,
                 closed: false,
             },
             report,
@@ -189,8 +258,10 @@ impl DurableHandle {
         self.wal.next_seq()
     }
 
-    /// Checkpoints written by this handle, the genesis/covering one
-    /// included.
+    /// Checkpoints taken by this handle, the genesis/covering one
+    /// included. A periodic one counts from the moment the session
+    /// thread hands it to the checkpointer, so between quiesce points
+    /// the newest may still be in flight.
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints
     }
@@ -202,39 +273,83 @@ impl DurableHandle {
     }
 
     fn maybe_checkpoint(&mut self) -> Result<(), ServiceError> {
+        self.settle(false)?;
         if self.options.checkpoint_every > 0
             && self.since_checkpoint >= self.options.checkpoint_every
         {
-            self.checkpoint_now()?;
+            let job = self.begin_checkpoint()?;
+            if self.checkpointer.is_none() {
+                self.checkpointer = Some(Checkpointer::spawn().map_err(wal_failed)?);
+            }
+            let checkpointer = self.checkpointer.as_ref().expect("spawned above");
+            self.in_flight = Some(job.seq);
+            if checkpointer.jobs.send(job).is_err() {
+                return Err(checkpointer_gone());
+            }
         }
         Ok(())
     }
 
-    /// Takes a checkpoint right now: quiesce, write the covering
-    /// snapshot, rotate the log, compact covered segments and stale
+    /// Collects the in-flight checkpoint's outcome — waiting for it when
+    /// `block`, otherwise only if it is already done — and announces
+    /// [`Lifecycle::Checkpointed`] once it is durable. A failed
+    /// background checkpoint surfaces here, on the next call that
+    /// looks.
+    fn settle(&mut self, block: bool) -> Result<(), ServiceError> {
+        let (Some(seq), Some(checkpointer)) = (self.in_flight, &self.checkpointer) else {
+            return Ok(());
+        };
+        let outcome = if block {
+            checkpointer.done.recv().map_err(|_| checkpointer_gone())?
+        } else {
+            match checkpointer.done.try_recv() {
+                Ok(outcome) => outcome,
+                Err(TryRecvError::Empty) => return Ok(()),
+                Err(TryRecvError::Disconnected) => return Err(checkpointer_gone()),
+            }
+        };
+        self.in_flight = None;
+        outcome.map_err(durable_failed)?;
+        self.inner
+            .announce_lifecycle(Lifecycle::Checkpointed { seq });
+        Ok(())
+    }
+
+    /// The session-thread half of a checkpoint: wait for the one in
+    /// flight, quiesce and capture the state, rotate the log.
+    fn begin_checkpoint(&mut self) -> Result<CheckpointJob, ServiceError> {
+        self.settle(true)?;
+        let seq = self.wal.next_seq();
+        let snapshot = self.inner.snapshot()?;
+        self.wal.rotate().map_err(wal_failed)?;
+        self.since_checkpoint = 0;
+        self.checkpoints += 1;
+        Ok(CheckpointJob {
+            dir: self.dir.clone(),
+            seq,
+            snapshot,
+            format: self.options.format,
+            first_live: self.wal.segment(),
+        })
+    }
+
+    /// Takes a checkpoint right now, on the calling thread, after the
+    /// one in flight (if any) lands: quiesce, rotate the log, write the
+    /// covering snapshot, compact covered segments and stale
     /// checkpoints, and announce [`Lifecycle::Checkpointed`] to
     /// subscribers. Returns the covered sequence number.
     pub fn checkpoint_now(&mut self) -> Result<u64, ServiceError> {
-        let seq = self.wal.next_seq();
-        let snapshot = self.inner.snapshot()?;
-        let checkpoint_len = checkpoint::write_checkpoint(
-            &self.dir,
-            seq,
-            &snapshot,
-            self.options.format,
-            self.checkpoint_len,
-        )
-        .map_err(durable_failed)?;
-        self.checkpoint_len = checkpoint_len;
-        self.wal.rotate().map_err(wal_failed)?;
-        self.wal.compact().map_err(wal_failed)?;
-        checkpoint::compact_checkpoints(&self.dir, seq).map_err(durable_failed)?;
-        self.since_checkpoint = 0;
-        self.checkpoints += 1;
+        let job = self.begin_checkpoint()?;
+        let seq = job.seq;
+        job.run().map_err(durable_failed)?;
         self.inner
             .announce_lifecycle(Lifecycle::Checkpointed { seq });
         Ok(seq)
     }
+}
+
+fn checkpointer_gone() -> ServiceError {
+    ServiceError::Transport("the checkpointer thread exited".into())
 }
 
 impl Session for DurableHandle {
@@ -281,6 +396,7 @@ impl Session for DurableHandle {
     /// power-loss window fsync alone would close, and which opted out
     /// of fsync by name).
     fn drain(&mut self) -> Result<(), ServiceError> {
+        self.settle(true)?;
         self.wal.handoff().map_err(wal_failed)?;
         self.inner.drain()
     }
@@ -289,6 +405,7 @@ impl Session for DurableHandle {
     /// handed to the kernel first, so the returned snapshot never
     /// describes state a process crash could lose.
     fn snapshot(&mut self) -> Result<ServiceSnapshot, ServiceError> {
+        self.settle(true)?;
         self.wal.handoff().map_err(wal_failed)?;
         self.inner.snapshot()
     }
@@ -304,6 +421,7 @@ impl Session for DurableHandle {
     }
 
     fn metrics(&mut self) -> Result<ServiceMetrics, ServiceError> {
+        self.settle(true)?;
         let mut metrics = ServiceHandle::metrics(&mut self.inner)?;
         metrics.wal_records = self.wal.next_seq();
         metrics.checkpoints = self.checkpoints;
@@ -318,6 +436,9 @@ impl Session for DurableHandle {
         }
         self.closed = true;
         let sealed = self.checkpoint_now().map(|_| ());
+        if let Some(checkpointer) = self.checkpointer.take() {
+            checkpointer.stop();
+        }
         let synced = self.wal.sync().map_err(wal_failed);
         let stopped = self.inner.close();
         sealed.and(synced).and(stopped)
@@ -329,11 +450,15 @@ impl Session for DurableHandle {
 }
 
 impl Drop for DurableHandle {
-    /// Best-effort fsync of the log tail. Deliberately *not* a
-    /// shutdown: a handle dropped mid-flight (a panicking server) must
-    /// leave the directory exactly as a crash would, for recovery to
-    /// handle.
+    /// Best-effort fsync of the log tail, after the checkpoint in
+    /// flight (if any) has finished. Deliberately *not* a shutdown: a
+    /// handle dropped mid-flight (a panicking server) must leave the
+    /// directory exactly as a crash would, for recovery to handle —
+    /// and with no thread still writing or deleting files in it.
     fn drop(&mut self) {
+        if let Some(checkpointer) = self.checkpointer.take() {
+            checkpointer.stop();
+        }
         if !self.closed {
             self.wal.sync().ok();
         }

@@ -340,8 +340,7 @@ pub(crate) fn sync_dir(dir: &Path) {
 /// The append side of the log. One writer owns the directory's current
 /// segment; [`append`](WalWriter::append) stamps sequence numbers,
 /// [`rotate`](WalWriter::rotate) starts a fresh segment at a
-/// checkpoint, and [`compact`](WalWriter::compact) deletes the covered
-/// ones.
+/// checkpoint, and [`compact_segments`] deletes the covered ones.
 #[derive(Debug)]
 pub struct WalWriter {
     dir: PathBuf,
@@ -453,24 +452,24 @@ impl WalWriter {
         *self = next;
         Ok(())
     }
+}
 
-    /// Deletes every segment below the current one and returns how many
-    /// were removed. Sound only when the newest checkpoint covers the
-    /// current segment's `base_seq` — which the checkpoint flow
-    /// guarantees by rotating first.
-    pub fn compact(&mut self) -> io::Result<u64> {
-        let mut removed = 0;
-        for info in list_segments(&self.dir).map_err(io::Error::other)? {
-            if info.index < self.segment {
-                fs::remove_file(&info.path)?;
-                removed += 1;
-            }
+/// Deletes every segment whose index is below `first_live` and returns
+/// how many were removed. Sound only when the newest checkpoint covers
+/// segment `first_live`'s `base_seq` — which the checkpoint flow
+/// guarantees by rotating to it first.
+pub fn compact_segments(dir: &Path, first_live: u64) -> io::Result<u64> {
+    let mut removed = 0;
+    for info in list_segments(dir).map_err(io::Error::other)? {
+        if info.index < first_live {
+            fs::remove_file(&info.path)?;
+            removed += 1;
         }
-        if removed > 0 {
-            sync_dir(&self.dir);
-        }
-        Ok(removed)
     }
+    if removed > 0 {
+        sync_dir(dir);
+    }
+    Ok(removed)
 }
 
 /// One segment file found on disk, identified by its validated header.
@@ -854,7 +853,7 @@ mod tests {
             );
         }
 
-        assert_eq!(w.compact().unwrap(), 1);
+        assert_eq!(compact_segments(&dir, w.segment()).unwrap(), 1);
         let log = scan(&dir).unwrap();
         assert_eq!(log.segments.len(), 1);
         assert_eq!(log.records.len(), 2);

@@ -9,7 +9,9 @@
 //! log record (or even a just-rotated segment's header) mid-write.
 
 use ltc_core::model::{ProblemParams, Task, Worker};
-use ltc_core::service::{Algorithm, ServiceBuilder, ServiceHandle, Session};
+use ltc_core::service::{
+    Algorithm, Lifecycle, ServiceBuilder, ServiceHandle, Session, StreamEvent,
+};
 use ltc_core::snapshot::write_snapshot;
 use ltc_durable::checkpoint::SnapshotFormat;
 use ltc_durable::{recover, DurableHandle, DurableOptions, SyncPolicy};
@@ -131,6 +133,214 @@ fn final_segment(dir: &Path) -> PathBuf {
         .collect();
     segments.sort();
     segments.pop().expect("log directory holds no segments")
+}
+
+/// How far a checkpoint had got when the process died.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Interrupted {
+    /// It completed (the handle checkpointed and compacted normally).
+    Never,
+    /// Only `checkpoint-S.tmp` reached the disk: the rename never
+    /// happened, and the older checkpoint and segments still stand.
+    BeforeRename,
+    /// `checkpoint-S` is in place, but neither the covered segments nor
+    /// the older checkpoints were deleted yet.
+    BeforeCompaction,
+}
+
+/// Every file in a directory, with its bytes.
+fn dir_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let bytes = std::fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Runs `ops` through a durable session and crashes it (drop, no
+/// shutdown). When `interrupted` says so, the checkpoint taken after
+/// `ops[..at]` is rolled back to the state a crash mid-checkpoint
+/// leaves: what its compaction deleted is put back and, before the
+/// rename, the checkpoint exists only as its temp file. No periodic
+/// checkpoint may fall after `at` (the caller picks `at` so none does).
+fn run_and_crash(
+    dir: &Path,
+    session: ServiceHandle,
+    options: DurableOptions,
+    ops: &[Op],
+    at: usize,
+    interrupted: Interrupted,
+) {
+    let mut durable = DurableHandle::create(session, dir, options).unwrap();
+    for op in &ops[..at] {
+        apply(&mut durable, op);
+    }
+    let mut before = Vec::new();
+    if interrupted != Interrupted::Never {
+        // A quiesce point: the periodic checkpoint in flight (if any)
+        // has landed and the log is in the kernel, so the files are
+        // exactly what the interrupted checkpoint would find.
+        durable.drain().unwrap();
+        before = dir_files(dir);
+        assert_eq!(durable.checkpoint_now().unwrap(), at as u64);
+    }
+    for op in &ops[at..] {
+        apply(&mut durable, op);
+    }
+    drop(durable);
+
+    if interrupted == Interrupted::BeforeRename {
+        let path = ltc_durable::checkpoint::checkpoint_path(dir, at as u64, options.format);
+        std::fs::rename(&path, path.with_extension("tmp")).unwrap();
+    }
+    // Last, so a checkpoint the interrupted one would have replaced
+    // under the same name (the genesis one, when `at` is 0) comes back.
+    for (path, bytes) in &before {
+        if !path.exists() {
+            std::fs::write(path, bytes).unwrap();
+        }
+    }
+}
+
+/// After a resume the directory holds exactly one checkpoint, one
+/// segment, and no temp file: the crash state was compacted away.
+fn assert_compacted(dir: &Path) {
+    let names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let count = |pred: &dyn Fn(&str) -> bool| names.iter().filter(|n| pred(n)).count();
+    assert_eq!(count(&|n| n.starts_with("checkpoint-")), 1, "{names:?}");
+    assert_eq!(count(&|n| n.starts_with("wal-")), 1, "{names:?}");
+    assert_eq!(count(&|n| n.ends_with(".tmp")), 0, "{names:?}");
+}
+
+/// The two states a crash during a background checkpoint can leave:
+/// recovery lands byte-identical to the uninterrupted run either way,
+/// from the older checkpoint before the rename and from the new one
+/// after it, and the resume that follows compacts the leftovers.
+#[test]
+fn a_crash_mid_checkpoint_recovers_and_resume_compacts() {
+    let algo = Algorithm::Laf;
+    let ops = mixed_ops(11, 60);
+    let at = 40;
+    for format in [SnapshotFormat::Text, SnapshotFormat::Binary] {
+        for (interrupted, restored_from) in [
+            (Interrupted::BeforeRename, 0),
+            (Interrupted::BeforeCompaction, at as u64),
+        ] {
+            let dir = temp_dir("mid-checkpoint");
+            // No periodic checkpoint: the interrupted one is the first
+            // after genesis, so recovery before the rename replays all.
+            let options = DurableOptions {
+                sync: SyncPolicy::Os,
+                checkpoint_every: 0,
+                format,
+            };
+            run_and_crash(&dir, fresh(algo, 2), options, &ops, at, interrupted);
+            let names: Vec<_> = dir_files(&dir).into_iter().map(|(p, _)| p).collect();
+            assert_eq!(
+                names
+                    .iter()
+                    .filter(|p| p.extension().is_some_and(|e| e == "tmp"))
+                    .count(),
+                usize::from(interrupted == Interrupted::BeforeRename),
+                "{interrupted:?}: {names:?}"
+            );
+
+            let recovery = recover(&dir).unwrap();
+            assert_eq!(recovery.checkpoint_seq, restored_from, "{interrupted:?}");
+            assert_eq!(recovery.replayed, ops.len() as u64 - restored_from);
+            assert_eq!(recovery.next_seq, ops.len() as u64);
+            let mut recovered = recovery.handle;
+            let text = snapshot_text(&mut recovered);
+            recovered.close().unwrap();
+            let reference = reference_text(algo, 2, &ops, ops.len());
+            assert_eq!(text, reference, "{interrupted:?} {format:?}");
+
+            let (mut resumed, report) = DurableHandle::resume(&dir, options).unwrap();
+            assert_eq!(report.checkpoint_seq, restored_from);
+            assert_eq!(report.next_seq, ops.len() as u64);
+            assert_compacted(&dir);
+            assert_eq!(snapshot_text(&mut resumed), reference);
+            resumed.shutdown().unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+/// Periodic checkpoints run in the background, yet every quiesce point
+/// sees the count and the files an inline checkpoint would leave: one
+/// checkpoint per `checkpoint_every` ops and only the newest on disk.
+#[test]
+fn quiesce_points_wait_for_the_background_checkpoint() {
+    let dir = temp_dir("quiesce");
+    let ops = mixed_ops(5, 33);
+    let options = DurableOptions {
+        sync: SyncPolicy::Os,
+        checkpoint_every: 4,
+        format: SnapshotFormat::Text,
+    };
+    let mut durable = DurableHandle::create(fresh(Algorithm::Aam, 1), &dir, options).unwrap();
+    let events = durable.subscribe().unwrap();
+    for (i, op) in ops.iter().enumerate() {
+        apply(&mut durable, op);
+        if i % 5 == 0 {
+            durable.drain().unwrap();
+            let done = (i as u64 + 1) / 4;
+            assert_eq!(durable.metrics().unwrap().checkpoints, 1 + done);
+            let checkpoints = ltc_durable::checkpoint::list_checkpoints(&dir).unwrap();
+            assert_eq!(checkpoints.len(), 1);
+            assert_eq!(checkpoints[0].0, done * 4);
+        }
+    }
+    durable.shutdown().unwrap();
+    // Each checkpoint is announced once it is durable, in order.
+    let mut announced = Vec::new();
+    while let Some(event) = events.try_recv() {
+        if let StreamEvent::Lifecycle(Lifecycle::Checkpointed { seq }) = event {
+            announced.push(seq);
+        }
+    }
+    let expected: Vec<u64> = (1..=33 / 4).map(|k| k * 4).chain([33]).collect();
+    assert_eq!(announced, expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Dropping the handle joins the checkpointer: the moment the drop
+/// returns, the directory holds the finished checkpoint and none of
+/// what it compacted, so a `recover` listing it races nothing.
+#[test]
+fn drop_waits_for_the_checkpoint_in_flight() {
+    let dir = temp_dir("drop-joins");
+    let ops = mixed_ops(3, 6000);
+    let options = DurableOptions {
+        sync: SyncPolicy::Os,
+        checkpoint_every: ops.len() as u64,
+        format: SnapshotFormat::Text,
+    };
+    let mut durable = DurableHandle::create(fresh(Algorithm::Laf, 1), &dir, options).unwrap();
+    for op in &ops {
+        apply(&mut durable, op);
+    }
+    drop(durable); // the last op triggered the checkpoint
+    let names: Vec<String> = dir_files(&dir)
+        .into_iter()
+        .map(|(p, _)| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        names,
+        [
+            format!("checkpoint-{:020}.ltc", ops.len()),
+            "wal-00000001.log".to_string()
+        ]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Clean shutdown → resume replays nothing; the resumed session
@@ -293,6 +503,8 @@ proptest! {
         sync_choice in 0u8..3,
         binary in any::<bool>(),
         cut_frac in 0.0f64..=1.0,
+        interrupt in 0u8..3,
+        at_frac in 0.0f64..=1.0,
     ) {
         let n_shards = if four_shards { 4 } else { 1 };
         let options = DurableOptions {
@@ -306,11 +518,20 @@ proptest! {
         };
         let dir = temp_dir("proptest");
 
-        let mut durable = DurableHandle::create(fresh(algo, n_shards), &dir, options).unwrap();
-        for op in &ops {
-            apply(&mut durable, op);
-        }
-        drop(durable); // crash: no shutdown
+        // Optionally interrupt one more checkpoint after `ops[..at]`,
+        // late enough that no periodic one follows it.
+        let interrupted = match interrupt {
+            0 => Interrupted::Never,
+            1 => Interrupted::BeforeRename,
+            _ => Interrupted::BeforeCompaction,
+        };
+        let tail = (at_frac * ops.len() as f64) as usize;
+        let tail = match checkpoint_every {
+            0 => tail,
+            every => tail % every as usize,
+        };
+        let at = ops.len() - tail.min(ops.len());
+        run_and_crash(&dir, fresh(algo, n_shards), options, &ops, at, interrupted);
 
         // Chop the current segment at an arbitrary byte offset —
         // modeling power loss mid-write, possibly mid-header.
@@ -342,6 +563,13 @@ proptest! {
         let mut recovered = again.handle;
         prop_assert_eq!(&snapshot_text(&mut recovered), &recovered_text);
         recovered.close().unwrap();
+
+        // And the session resumes from there, leaving no crash debris.
+        let (mut resumed, report) = DurableHandle::resume(&dir, options).unwrap();
+        prop_assert_eq!(report.next_seq, recovery.next_seq);
+        assert_compacted(&dir);
+        prop_assert_eq!(&snapshot_text(&mut resumed), &recovered_text);
+        resumed.shutdown().unwrap();
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -624,12 +624,7 @@ fn execute(
                     // to the `v1` grammar.
                     let sid = (version == wire::PROTO_VERSION_V2).then(|| entry.name().to_string());
                     let encode = |event: &_, batch: &mut Vec<u8>| {
-                        let mut frame = wire::encode_event(event);
-                        if let Some(sid) = &sid {
-                            frame = wire::with_sid(frame, sid);
-                        }
-                        batch.extend_from_slice(frame.as_bytes());
-                        batch.push(b'\n');
+                        wire::push_event_frame(batch, event, sid.as_deref());
                     };
                     // Every event already queued joins one batch that
                     // goes out in one locked `write` (capped like the

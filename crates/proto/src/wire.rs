@@ -177,8 +177,9 @@ fn word<'a>(field: &'static str, v: Option<&'a Json>) -> Result<&'a str, WireErr
 }
 
 // ---------------------------------------------------------------------
-// Exact-layout fast paths for the two frame shapes that dominate a
-// streaming connection: the submission request and its acknowledgement.
+// Exact-layout fast paths for the three frame shapes that dominate a
+// streaming connection: the submission request, its acknowledgement,
+// and the worker event it produces.
 // Each accepts precisely the byte layout our own encoders emit (fixed
 // member order, optional `"seq"`/`"sid"` tails) and decodes to exactly
 // what the generic JSON route would produce; any deviation returns
@@ -290,6 +291,72 @@ fn fast_decode_ack(frame: &str) -> Option<Response> {
             seq,
         }
     })
+}
+
+/// The worker-event fast path (see the block comment above): a
+/// [`StreamEvent::Worker`] delivery exactly as [`push_event_frame`]
+/// lays it out, with the optional `"sid"` tail the client ignores like
+/// the generic route does. Task ids keep the generic route's `as u32`
+/// truncation.
+fn fast_decode_worker_event(frame: &str) -> Option<StreamEvent> {
+    let rest = frame
+        .as_bytes()
+        .strip_prefix(b"{\"ev\":\"worker\",\"worker\":")?;
+    let (id, rest) = eat_u64(rest)?;
+    let worker = WorkerId(id);
+    let mut rest = rest.strip_prefix(b",\"batch\":[")?;
+    let mut events = Vec::new();
+    if let Some(r) = rest.strip_prefix(b"]") {
+        rest = r;
+    } else {
+        loop {
+            let (event, r) = eat_batch_entry(rest, worker)?;
+            events.push(event);
+            if let Some(r) = r.strip_prefix(b",") {
+                rest = r;
+            } else {
+                rest = r.strip_prefix(b"]")?;
+                break;
+            }
+        }
+    }
+    let (_sid, rest) = eat_sid(rest)?;
+    if rest != b"}" {
+        return None;
+    }
+    Some(StreamEvent::Worker { worker, events })
+}
+
+/// Consumes one `batch` entry of a worker event.
+fn eat_batch_entry(rest: &[u8], worker: WorkerId) -> Option<(Event, &[u8])> {
+    if let Some(r) = rest.strip_prefix(b"{\"k\":\"assign\",\"task\":") {
+        let (task, r) = eat_u64(r)?;
+        let r = r.strip_prefix(b",\"acc\":\"")?;
+        let (acc, r) = eat_hex16(r)?;
+        let r = r.strip_prefix(b"\",\"gain\":\"")?;
+        let (gain, r) = eat_hex16(r)?;
+        let r = r.strip_prefix(b"\"}")?;
+        let event = Event::Assigned {
+            worker,
+            task: TaskId(task as u32),
+            acc,
+            gain,
+        };
+        Some((event, r))
+    } else if let Some(r) = rest.strip_prefix(b"{\"k\":\"done\",\"task\":") {
+        let (task, r) = eat_u64(r)?;
+        let r = r.strip_prefix(b",\"latency\":")?;
+        let (latency, r) = eat_u64(r)?;
+        let r = r.strip_prefix(b"}")?;
+        let event = Event::TaskCompleted {
+            task: TaskId(task as u32),
+            latency,
+        };
+        Some((event, r))
+    } else {
+        let r = rest.strip_prefix(b"{\"k\":\"idle\"}")?;
+        Some((Event::WorkerIdle { worker }, r))
+    }
 }
 
 /// Reads one frame (without its trailing `\n`), enforcing [`MAX_FRAME`]
@@ -1077,7 +1144,63 @@ pub fn is_event_frame(frame: &str) -> bool {
     frame.starts_with("{\"ev\":")
 }
 
-/// Serializes one subscription delivery as an event frame.
+/// Appends one event frame and its `\n` delimiter to a batch: exactly
+/// the bytes of [`encode_event`] (with [`with_sid`] when `sid` is
+/// given). Worker deliveries — nearly every frame of a stream — are
+/// laid out straight into `out` with no `String` per event; the rare
+/// lifecycle and task frames take the [`encode_event`] route.
+pub fn push_event_frame(out: &mut Vec<u8>, event: &StreamEvent, sid: Option<&str>) {
+    let StreamEvent::Worker { worker, events } = event else {
+        let frame = encode_event(event);
+        let frame = match sid {
+            Some(sid) => with_sid(frame, sid),
+            None => frame,
+        };
+        out.extend_from_slice(frame.as_bytes());
+        out.push(b'\n');
+        return;
+    };
+    out.extend_from_slice(b"{\"ev\":\"worker\",\"worker\":");
+    numfmt::push_u64(out, worker.0);
+    out.extend_from_slice(b",\"batch\":[");
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        match e {
+            Event::Assigned {
+                task, acc, gain, ..
+            } => {
+                out.extend_from_slice(b"{\"k\":\"assign\",\"task\":");
+                numfmt::push_u64(out, u64::from(task.0));
+                out.extend_from_slice(b",\"acc\":\"");
+                numfmt::push_hex_f64(out, *acc);
+                out.extend_from_slice(b"\",\"gain\":\"");
+                numfmt::push_hex_f64(out, *gain);
+                out.extend_from_slice(b"\"}");
+            }
+            Event::TaskCompleted { task, latency } => {
+                out.extend_from_slice(b"{\"k\":\"done\",\"task\":");
+                numfmt::push_u64(out, u64::from(task.0));
+                out.extend_from_slice(b",\"latency\":");
+                numfmt::push_u64(out, *latency);
+                out.push(b'}');
+            }
+            Event::WorkerIdle { .. } => out.extend_from_slice(b"{\"k\":\"idle\"}"),
+        }
+    }
+    out.push(b']');
+    if let Some(sid) = sid {
+        debug_assert!(valid_session_name(sid), "{sid}");
+        out.extend_from_slice(b",\"sid\":\"");
+        out.extend_from_slice(sid.as_bytes());
+        out.push(b'"');
+    }
+    out.extend_from_slice(b"}\n");
+}
+
+/// Serializes one subscription delivery as an event frame (the
+/// reference layout [`push_event_frame`] reproduces byte for byte).
 pub fn encode_event(event: &StreamEvent) -> String {
     match event {
         StreamEvent::Worker { worker, events } => {
@@ -1135,8 +1258,17 @@ pub fn encode_event(event: &StreamEvent) -> String {
     }
 }
 
-/// Parses an event frame back into the typed delivery.
+/// Parses an event frame back into the typed delivery. Worker
+/// deliveries in this crate's own layout take an exact-layout fast
+/// path; anything else goes through the generic JSON parser.
 pub fn decode_event(frame: &str) -> Result<StreamEvent, WireError> {
+    match fast_decode_worker_event(frame) {
+        Some(event) => Ok(event),
+        None => decode_event_generic(frame),
+    }
+}
+
+fn decode_event_generic(frame: &str) -> Result<StreamEvent, WireError> {
     let v = json::parse(frame).map_err(|e| e.to_string())?;
     match word("ev", v.get("ev"))? {
         "worker" => {
@@ -1397,19 +1529,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn events_round_trip_bit_exactly() {
+    /// Every event shape the server emits: each batch-entry kind, mixed
+    /// and empty batches, extreme ids and floats, every lifecycle kind.
+    fn event_corpus() -> Vec<StreamEvent> {
         let w = WorkerId(3);
-        let cases = vec![
+        let max = WorkerId(u64::MAX);
+        let assigned = |worker: WorkerId, task: u32, acc: f64| Event::Assigned {
+            worker,
+            task: TaskId(task),
+            acc,
+            gain: (2.0 * acc - 1.0).powi(2),
+        };
+        vec![
             StreamEvent::Worker {
                 worker: w,
                 events: vec![
-                    Event::Assigned {
-                        worker: w,
-                        task: TaskId(1),
-                        acc: 0.951_234_567_890_123_4,
-                        gain: (2.0 * 0.951_234_567_890_123_4f64 - 1.0).powi(2),
-                    },
+                    assigned(w, 1, 0.951_234_567_890_123_4),
                     Event::TaskCompleted {
                         task: TaskId(1),
                         latency: 4,
@@ -1419,6 +1554,31 @@ mod tests {
             StreamEvent::Worker {
                 worker: w,
                 events: vec![Event::WorkerIdle { worker: w }],
+            },
+            StreamEvent::Worker {
+                worker: max,
+                events: vec![
+                    assigned(max, 0, -0.0),
+                    assigned(max, u32::MAX, f64::INFINITY),
+                    Event::Assigned {
+                        worker: max,
+                        task: TaskId(9),
+                        acc: f64::MIN_POSITIVE / 2.0,
+                        gain: f64::MAX,
+                    },
+                    Event::TaskCompleted {
+                        task: TaskId(u32::MAX),
+                        latency: u64::MAX,
+                    },
+                    Event::TaskCompleted {
+                        task: TaskId(0),
+                        latency: 0,
+                    },
+                ],
+            },
+            StreamEvent::Worker {
+                worker: WorkerId(0),
+                events: Vec::new(),
             },
             StreamEvent::TaskPosted { task: TaskId(0) },
             StreamEvent::Lifecycle(Lifecycle::Drained { workers_seen: 12 }),
@@ -1435,11 +1595,45 @@ mod tests {
             StreamEvent::Lifecycle(Lifecycle::Checkpointed { seq: u64::MAX }),
             StreamEvent::Lifecycle(Lifecycle::SessionEvicted),
             StreamEvent::Lifecycle(Lifecycle::ShuttingDown),
-        ];
-        for event in cases {
+        ]
+    }
+
+    /// Bit-exact event equality, every field included: `PartialEq` on
+    /// `f64` would equate `-0.0` with `0.0` and refuse NaN, so compare
+    /// the encodings (float bits) and the `Debug` forms (the per-entry
+    /// `worker` the encoding leaves out).
+    fn assert_same_event(a: &StreamEvent, b: &StreamEvent, frame: &str) {
+        assert_eq!(encode_event(a), encode_event(b), "{frame}");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{frame}");
+    }
+
+    #[test]
+    fn events_round_trip_bit_exactly() {
+        for event in event_corpus() {
             let frame = encode_event(&event);
             assert!(is_event_frame(&frame), "{frame}");
-            assert_eq!(decode_event(&frame).unwrap(), event, "{frame}");
+            assert_same_event(&decode_event(&frame).unwrap(), &event, &frame);
+        }
+    }
+
+    #[test]
+    fn direct_event_frames_match_encode_event_byte_for_byte() {
+        for event in event_corpus() {
+            for sid in [None, Some("default"), Some("Region_7.east-2")] {
+                let reference = match sid {
+                    Some(sid) => with_sid(encode_event(&event), sid),
+                    None => encode_event(&event),
+                };
+                // Appends behind whatever the batch already holds.
+                let mut batch = b"{\"ok\":\"drain\"}\n".to_vec();
+                let held = batch.len();
+                push_event_frame(&mut batch, &event, sid);
+                assert_eq!(
+                    std::str::from_utf8(&batch[held..]).unwrap(),
+                    format!("{reference}\n"),
+                    "{event:?}"
+                );
+            }
         }
     }
 
@@ -1666,6 +1860,65 @@ mod tests {
         ] {
             assert_eq!(fast_decode_ack(frame), None, "{frame}");
         }
+
+        // Worker events, every entry kind, with and without a sid: the
+        // fast path takes each and agrees with the generic route.
+        for event in event_corpus() {
+            for sid in [None, Some("default"), Some("Region_7.east-2")] {
+                let frame = match sid {
+                    Some(sid) => with_sid(encode_event(&event), sid),
+                    None => encode_event(&event),
+                };
+                let fast = fast_decode_worker_event(&frame);
+                if !matches!(event, StreamEvent::Worker { .. }) {
+                    assert!(fast.is_none(), "{frame}");
+                    continue;
+                }
+                let fast = fast.unwrap_or_else(|| panic!("fast path refused {frame}"));
+                assert_same_event(&fast, &decode_event_generic(&frame).unwrap(), &frame);
+                assert_same_event(&fast, &event, &frame);
+            }
+        }
+        // Layouts the fast path accepts that the encoder never emits:
+        // task ids above `u32::MAX` (truncated `as u32` like the generic
+        // route) and hex digits of either case.
+        for frame in [
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"assign\",\"task\":4294967301,\"acc\":\"3fe0000000000000\",\"gain\":\"3fd0000000000000\"}]}",
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"done\",\"task\":18446744073709551615,\"latency\":2}]}",
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"assign\",\"task\":1,\"acc\":\"3FE0000000000000\",\"gain\":\"3fD00000000000aB\"}],\"sid\":\"s-1\"}",
+        ] {
+            let fast = fast_decode_worker_event(frame)
+                .unwrap_or_else(|| panic!("fast path refused {frame}"));
+            assert_same_event(&fast, &decode_event_generic(frame).unwrap(), frame);
+        }
+        // Near-misses the fast path must refuse, leaving the verdict —
+        // success or error — to the generic route.
+        let idle = "{\"k\":\"idle\"}";
+        for frame in [
+            format!("{{\"ev\":\"worker\",\"worker\":07,\"batch\":[{idle}]}}"),
+            format!("{{\"ev\":\"worker\",\"worker\":18446744073709551616,\"batch\":[{idle}]}}"),
+            format!("{{\"ev\":\"worker\",\"worker\":-3,\"batch\":[{idle}]}}"),
+            format!("{{\"ev\":\"worker\", \"worker\":3,\"batch\":[{idle}]}}"),
+            format!("{{\"ev\":\"worker\",\"worker\":3,\"batch\":[{idle},]}}"),
+            format!("{{\"ev\":\"worker\",\"worker\":3,\"batch\":[{idle}]}}}}"),
+            format!("{{\"ev\":\"worker\",\"worker\":3,\"batch\":[{idle}],\"sid\":\"no spaces\"}}"),
+            format!("{{\"ev\":\"worker\",\"worker\":3,\"batch\":[{idle}],\"extra\":1}}"),
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"done\",\"task\":00,\"latency\":2}]}".into(),
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"done\",\"task\":1,\"latency\":01}]}".into(),
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"done\",\"latency\":2,\"task\":1}]}".into(),
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"assign\",\"task\":1,\"acc\":\"+fe0000000000000\",\"gain\":\"3fd0000000000000\"}]}".into(),
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"assign\",\"task\":1,\"acc\":\"3fe000000000000\",\"gain\":\"3fd0000000000000\"}]}".into(),
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"assign\",\"task\":1,\"acc\":\"3fe0000000000000\",\"gain\":\"3fd0000000000000\",\"x\":0}]}".into(),
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"oops\"}]}".into(),
+            "{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"idle\"}".into(),
+        ] {
+            assert!(fast_decode_worker_event(&frame).is_none(), "{frame}");
+            match (decode_event(&frame), decode_event_generic(&frame)) {
+                (Ok(a), Ok(b)) => assert_same_event(&a, &b, &frame),
+                (Err(a), Err(b)) => assert_eq!(a, b, "{frame}"),
+                (a, b) => panic!("{frame}: {a:?} vs {b:?}"),
+            }
+        }
     }
 
     /// xorshift64* — a deterministic corpus generator, so every fuzz
@@ -1694,6 +1947,13 @@ mod tests {
         let _ = decode_event(frame);
         let _ = decode_hello(frame);
         let _ = is_event_frame(frame);
+        // Whatever hostile frame the worker-event fast path accepts, the
+        // generic route must decode to the same event.
+        if let Some(fast) = fast_decode_worker_event(frame) {
+            let generic = decode_event_generic(frame)
+                .unwrap_or_else(|e| panic!("fast path accepted {frame:?}, generic refused: {e}"));
+            assert_same_event(&fast, &generic, frame);
+        }
     }
 
     #[test]
@@ -1753,6 +2013,17 @@ mod tests {
             .encode(),
             encode_event(&StreamEvent::Lifecycle(Lifecycle::SessionEvicted)),
         ];
+        // Event frames as a hostile `v2` server would send them: every
+        // worker-event shape, sid-tagged.
+        let corpus: Vec<String> = corpus
+            .into_iter()
+            .chain(event_corpus().iter().map(|event| {
+                let mut frame = Vec::new();
+                push_event_frame(&mut frame, event, Some("sess-9"));
+                frame.pop();
+                String::from_utf8(frame).unwrap()
+            }))
+            .collect();
         let mut rng = XorShift(0x1CDE_2018_0000_0002);
         for frame in &corpus {
             for cut in 0..frame.len() {

@@ -15,7 +15,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`mod@core`] | model + engine + **`LtcService` facade** + all six algorithms |
-//! | [`spatial`] | geometry, evicting grid index, shard router, KD-tree, hulls |
+//! | [`spatial`] | geometry, evicting grid index, shard router, hulls |
 //! | [`mcmf`] | min-cost max-flow (SSPA) |
 //! | [`proto`] | the `ltc-proto v1` wire protocol: TCP server + remote client |
 //! | [`workload`] | Table IV / Table V dataset generators |
